@@ -10,6 +10,7 @@ Exit codes: 0 on success, 1 for usage errors, 2 for bad input data.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from typing import List, Optional
@@ -107,17 +108,29 @@ def _load_report(path: str) -> dict:
     return doc
 
 
-def _key_to_id(key, graph: CallGraph, side: str) -> int:
+@contextlib.contextmanager
+def _writing(path: str):
+    """Report a failure to write `path` as bad input rather than a traceback."""
+    try:
+        yield
+    except OSError as exc:
+        raise DataError("cannot write %s: %s" % (path, exc.strerror or exc))
+
+
+def _name_index(graph: CallGraph) -> dict:
+    return {node.name: node.id for node in graph.nodes if node.name is not None}
+
+
+def _key_to_id(key, graph: CallGraph, names: dict, side: str) -> int:
     if isinstance(key, bool) or not isinstance(key, (int, str)):
         raise DataError("bad function key %r for %s" % (key, side))
     if isinstance(key, int):
         if not 0 <= key < graph.n:
             raise DataError("function index %d out of range for %s" % (key, side))
         return key
-    for node in graph.nodes:
-        if node.name == key:
-            return node.id
-    raise DataError("function %r not found in %s" % (key, side))
+    if key not in names:
+        raise DataError("function %r not found in %s" % (key, side))
+    return names[key]
 
 
 def _solve(args, sim, a: CallGraph, b: CallGraph):
@@ -160,14 +173,13 @@ def cmd_diff(args) -> int:
         "unmatched_a": [a.key_of(i) for i in range(a.n) if i not in matched_rows],
         "unmatched_b": [b.key_of(j) for j in range(b.n) if j not in matched_cols],
         "objective": nap.nap_objective(problem, mapping),
-        "ged": nap.ged_cost_direct(a, b, mapping, sim,
-                                   d_node=args.d_node, d_edge=args.d_edge),
+        "ged": nap.edit_cost(problem, mapping),  # alpha plays no part in it
         "squares": nap.count_squares(problem, mapping),
         "iterations": iterations,
         "converged": converged,
     }
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
+        with _writing(args.output), open(args.output, "w", encoding="utf-8") as handle:
             json.dump(report, handle, indent=2, sort_keys=True)
             handle.write("\n")
     if args.json:
@@ -194,11 +206,12 @@ def cmd_eval(args) -> int:
     if args.program_a and args.program_b:
         a = load_call_graph(args.program_a)
         b = load_call_graph(args.program_b)
-        predicted = {(a.key_of(_key_to_id(ka, a, "program A")),
-                      b.key_of(_key_to_id(kb, b, "program B")))
+        names_a, names_b = _name_index(a), _name_index(b)
+        predicted = {(a.key_of(_key_to_id(ka, a, names_a, "program A")),
+                      b.key_of(_key_to_id(kb, b, names_b, "program B")))
                      for ka, kb in predicted}
-        truth_pairs = {(a.key_of(_key_to_id(ka, a, "program A")),
-                        b.key_of(_key_to_id(kb, b, "program B")))
+        truth_pairs = {(a.key_of(_key_to_id(ka, a, names_a, "program A")),
+                        b.key_of(_key_to_id(kb, b, names_b, "program B")))
                        for ka, kb in truth_pairs}
     report = evaluation.score(predicted, truth_pairs)
     payload = {
@@ -226,13 +239,14 @@ def cmd_ged(args) -> int:
     b = load_call_graph(args.graph_b)
     validate_pair(a, b)
     doc = _load_report(args.report)
+    names_a, names_b = _name_index(a), _name_index(b)
     pairs = []
     for index, entry in enumerate(doc["matched"]):
         if not isinstance(entry, list) or len(entry) < 2:
             raise DataError("%s: matched[%d] must be [key_a, key_b, ...]"
                             % (args.report, index))
-        pairs.append((_key_to_id(entry[0], a, "program A"),
-                      _key_to_id(entry[1], b, "program B")))
+        pairs.append((_key_to_id(entry[0], a, names_a, "program A"),
+                      _key_to_id(entry[1], b, names_b, "program B")))
     mapping = nap.Mapping.from_pairs(pairs)
     sim_config = similarity.SimilarityConfig(sparsity_ratio=args.sparsity)
     sim = similarity.build_similarity_matrix(a, b, sim_config)
@@ -280,7 +294,8 @@ def cmd_generate(args) -> int:
                                          seed=args.seed, templates=args.templates)
     except ValueError as exc:
         raise DataError(str(exc))
-    save_call_graph(graph, args.out)
+    with _writing(args.out):
+        save_call_graph(graph, args.out)
     outputs = [args.out]
     if args.mutate is not None:
         if not args.out_b or not args.out_truth:
@@ -290,8 +305,10 @@ def cmd_generate(args) -> int:
             mutated, truth = synthetic.mutate(graph, spec, seed=args.seed + 1)
         except ValueError as exc:
             raise DataError(str(exc))
-        save_call_graph(mutated, args.out_b)
-        evaluation.save_ground_truth(truth, args.out_truth)
+        with _writing(args.out_b):
+            save_call_graph(mutated, args.out_b)
+        with _writing(args.out_truth):
+            evaluation.save_ground_truth(truth, args.out_truth)
         outputs += [args.out_b, args.out_truth]
     print("wrote " + ", ".join(outputs))
     return 0

@@ -58,10 +58,12 @@ class Mapping:
 class NapProblem:
     """Sparse quadratic alignment problem over retained candidate pairs.
 
-    Candidates are stored in lexicographic (row, col) order.  Each directed
-    square connects two candidate indices; links merge the squares between
-    an unordered candidate pair (summing their weights) for solvers that
-    treat the interaction symmetrically.
+    Candidates are stored in lexicographic (row, col) order.  A square is a
+    pair of call edges i->k in A and j->l in B whose endpoint pairs (i, j)
+    and (k, l) are both candidates.  Squares are stored only as links: one
+    per unordered candidate pair u < v, in (u, v) order, with the number of
+    squares it merges (1 or 2, one per direction).  Every square weighs
+    2*d_edge, so a link weighs its count times that.
     """
 
     n_a: int
@@ -69,12 +71,10 @@ class NapProblem:
     cand_rows: np.ndarray      # int64
     cand_cols: np.ndarray      # int64
     node_weights: np.ndarray   # float64, s + 2*d_node - 1
-    sq_src: np.ndarray         # int64 candidate index per directed square
-    sq_dst: np.ndarray         # int64
-    sq_weights: np.ndarray     # float64, 2*d_edge each
-    link_u: np.ndarray         # int64, u < v, merged squares
+    link_u: np.ndarray         # int64, u < v
     link_v: np.ndarray         # int64
-    link_w: np.ndarray         # float64, summed directed square weights
+    link_count: np.ndarray     # int64, squares merged into each link
+    link_w: np.ndarray         # float64, link_count * 2*d_edge
     alpha: float
     d_node: float
     d_edge: float
@@ -89,7 +89,7 @@ class NapProblem:
 
     @property
     def n_squares(self) -> int:
-        return len(self.sq_weights)
+        return int(self.link_count.sum())
 
     def cand_keys(self) -> np.ndarray:
         if self._keys is None:
@@ -105,65 +105,70 @@ class NapProblem:
         return -1
 
 
-def _square_arrays(sim: SimilarityMatrix, a: CallGraph,
-                   b: CallGraph) -> Tuple[np.ndarray, np.ndarray]:
-    """Candidate index pairs for every square both of whose ends survive pruning."""
-    ea, eb = a.edge_array(), b.edge_array()
-    if len(ea) == 0 or len(eb) == 0 or len(sim) == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty.copy()
+JOIN_CHUNK = 4_000_000  # edge pairs joined at once; bounds the join's scratch arrays
+
+
+def _out_edges(graph: CallGraph) -> Tuple[np.ndarray, np.ndarray]:
+    """(offsets, callees): out-neighbours of i are callees[offsets[i]:offsets[i+1]]."""
+    edges = graph.edge_array()  # sorted by caller, so each caller's calls are contiguous
+    offsets = np.zeros(graph.n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(edges[:, 0], minlength=graph.n), out=offsets[1:])
+    return offsets, edges[:, 1]
+
+
+def _link_keys(sim: SimilarityMatrix, a: CallGraph, b: CallGraph) -> np.ndarray:
+    """min * n_cand + max per square, for every square both of whose ends are kept.
+
+    Joins through the out-edges of each kept candidate (i, j): every pair of
+    a call i->k and a call j->l whose (k, l) is also kept is a square.  The
+    work is the sum of outdeg(i) * outdeg(j) over kept candidates.
+    """
     keys = sim.flat_keys()
-    n_b = max(sim.n_b, 1)
-    src_parts, dst_parts = [], []
-    chunk = max(1, int(4_000_000 // len(eb)))
-    for start in range(0, len(ea), chunk):
-        ea_c = ea[start:start + chunk]
-        k_src = (ea_c[:, 0, None] * n_b + eb[None, :, 0]).ravel()
-        k_dst = (ea_c[:, 1, None] * n_b + eb[None, :, 1]).ravel()
-        pos_src = np.searchsorted(keys, k_src)
-        pos_dst = np.searchsorted(keys, k_dst)
-        np.minimum(pos_src, len(keys) - 1, out=pos_src)
-        np.minimum(pos_dst, len(keys) - 1, out=pos_dst)
-        hit = (keys[pos_src] == k_src) & (keys[pos_dst] == k_dst)
-        src_parts.append(pos_src[hit])
-        dst_parts.append(pos_dst[hit])
-    return np.concatenate(src_parts), np.concatenate(dst_parts)
+    n_cand, n_b = len(keys), max(sim.n_b, 1)
+    off_a, callee_a = _out_edges(a)
+    off_b, callee_b = _out_edges(b)
+    rows, cols = sim.rows, sim.cols
+    deg_b = np.diff(off_b)[cols]
+    pairs = np.diff(off_a)[rows] * deg_b  # edge pairs to try per candidate
+    ends = np.cumsum(pairs)
+    starts = ends - pairs
+    parts = [np.empty(0, dtype=np.int64)]
+    lo = 0
+    while lo < n_cand:
+        hi = max(int(np.searchsorted(ends, starts[lo] + JOIN_CHUNK, side="right")), lo + 1)
+        src = np.repeat(np.arange(lo, hi, dtype=np.int64), pairs[lo:hi])
+        # t numbers the pairs of one candidate: out-edge t // deg_b of i, t % deg_b of j
+        t = np.arange(starts[lo], ends[hi - 1]) - np.repeat(starts[lo:hi], pairs[lo:hi])
+        t_a, t_b = np.divmod(t, deg_b[src])
+        want = (callee_a[off_a[rows[src]] + t_a] * n_b
+                + callee_b[off_b[cols[src]] + t_b])
+        dst = np.searchsorted(keys, want)
+        np.minimum(dst, n_cand - 1, out=dst)
+        hit = keys[dst] == want
+        src, dst = src[hit], dst[hit]
+        parts.append(np.minimum(src, dst) * n_cand + np.maximum(src, dst))
+        lo = hi
+    return np.concatenate(parts)
 
 
 def build_problem(sim: SimilarityMatrix, a: CallGraph, b: CallGraph,
                   alpha: float = 0.75, d_node: float = 0.5,
                   d_edge: float = 0.5) -> NapProblem:
-    """Assemble node weights, squares and merged links for a candidate set."""
+    """Assemble node weights and the links merging squares for a candidate set."""
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")
     if d_node < 0 or d_edge < 0:
         raise ValueError("edit costs must be non-negative")
     node_weights = sim.scores + (2.0 * d_node - 1.0)
-    sq_src, sq_dst = _square_arrays(sim, a, b)
-    sq_weights = np.full(len(sq_src), 2.0 * d_edge)
-
-    if len(sq_src):
-        u = np.minimum(sq_src, sq_dst)
-        v = np.maximum(sq_src, sq_dst)
-        order = np.lexsort((v, u))
-        u, v, w = u[order], v[order], sq_weights[order]
-        boundary = np.empty(len(u), dtype=bool)
-        boundary[0] = True
-        boundary[1:] = (u[1:] != u[:-1]) | (v[1:] != v[:-1])
-        starts = np.flatnonzero(boundary)
-        link_u, link_v = u[starts], v[starts]
-        link_w = np.add.reduceat(w, starts)
-    else:
-        link_u = np.empty(0, dtype=np.int64)
-        link_v = np.empty(0, dtype=np.int64)
-        link_w = np.empty(0, dtype=np.float64)
+    link_keys, link_count = np.unique(_link_keys(sim, a, b), return_counts=True)
+    link_u, link_v = np.divmod(link_keys, max(len(sim), 1))
 
     return NapProblem(n_a=sim.n_a, n_b=sim.n_b,
                       cand_rows=sim.rows.astype(np.int64),
                       cand_cols=sim.cols.astype(np.int64),
                       node_weights=node_weights.astype(np.float64),
-                      sq_src=sq_src, sq_dst=sq_dst, sq_weights=sq_weights,
-                      link_u=link_u, link_v=link_v, link_w=link_w,
+                      link_u=link_u, link_v=link_v, link_count=link_count,
+                      link_w=link_count * (2.0 * d_edge),
                       alpha=alpha, d_node=d_node, d_edge=d_edge,
                       edges_a=len(a.edges), edges_b=len(b.edges))
 
@@ -201,9 +206,9 @@ def _gain_parts(problem: NapProblem, mapping: Mapping) -> Tuple[float, float, in
     node_part = float(problem.node_weights[midx].sum())
     chosen = np.zeros(problem.n_candidates, dtype=bool)
     chosen[midx] = True
-    realized = chosen[problem.sq_src] & chosen[problem.sq_dst]
-    square_part = float(problem.sq_weights[realized].sum())
-    return node_part, square_part, int(realized.sum())
+    realized = chosen[problem.link_u] & chosen[problem.link_v]
+    count = int(problem.link_count[realized].sum())
+    return node_part, count * (2.0 * problem.d_edge), count
 
 
 def nap_objective(problem: NapProblem, mapping: Mapping) -> float:
@@ -224,14 +229,24 @@ def baseline_cost(n_a: int, n_b: int, edges_a: int, edges_b: int,
     return (n_a + n_b) * d_node + (edges_a + edges_b) * d_edge
 
 
+def edit_cost(problem: NapProblem, mapping: Mapping) -> float:
+    """Edit cost via the alignment identity: empty-mapping cost minus raw gain.
+
+    Neither part of the gain depends on alpha, so any problem built over the
+    same candidates and edit costs gives the same value.
+    """
+    node_part, square_part, _ = _gain_parts(problem, mapping)
+    c0 = baseline_cost(problem.n_a, problem.n_b, problem.edges_a, problem.edges_b,
+                       problem.d_node, problem.d_edge)
+    return c0 - node_part - square_part
+
+
 def ged_cost_direct(a: CallGraph, b: CallGraph, mapping: Mapping,
                     sim: SimilarityMatrix, d_node: float = 0.5,
                     d_edge: float = 0.5) -> float:
-    """Edit cost via the alignment identity: empty-mapping cost minus raw gain."""
-    problem = build_problem(sim, a, b, alpha=0.5, d_node=d_node, d_edge=d_edge)
-    node_part, square_part, _ = _gain_parts(problem, mapping)
-    c0 = baseline_cost(a.n, b.n, len(a.edges), len(b.edges), d_node, d_edge)
-    return c0 - node_part - square_part
+    """Edit cost via the alignment identity, on a problem built for it."""
+    return edit_cost(build_problem(sim, a, b, alpha=0.5, d_node=d_node, d_edge=d_edge),
+                     mapping)
 
 
 def ged_cost_editpath(a: CallGraph, b: CallGraph, mapping: Mapping,

@@ -161,13 +161,26 @@ def build_similarity_matrix(a: CallGraph, b: CallGraph,
         scores[start:stop] = sim
 
     flat = scores.ravel()
-    drop = int(np.floor(config.sparsity_ratio * total))
-    if drop > 0:
-        rows_flat, cols_flat = np.divmod(np.arange(total, dtype=np.int64), n_b)
-        # lexsort: last key is primary, so order by score, then row, then col
-        order = np.lexsort((cols_flat, rows_flat, flat))
-        keep = np.sort(order[drop:])
-    else:
-        keep = np.arange(total, dtype=np.int64)
+    keep = prune_lowest(flat, int(np.floor(config.sparsity_ratio * total)))
     rows, cols = np.divmod(keep, n_b)
     return SimilarityMatrix(n_a=n_a, n_b=n_b, rows=rows, cols=cols, scores=flat[keep])
+
+
+def prune_lowest(scores: np.ndarray, drop: int) -> np.ndarray:
+    """Ascending indices of the scores left after dropping the `drop` lowest.
+
+    Ties are dropped lowest index first, so the result is the tail of a sort
+    by (score, index).  Found by partition rather than a full sort: everything
+    below the drop-th lowest score goes, and so do as many of the scores equal
+    to it, lowest index first, as are needed to make up `drop`.
+    """
+    total = len(scores)
+    if drop <= 0:
+        return np.arange(total, dtype=np.int64)
+    if drop >= total:
+        return np.empty(0, dtype=np.int64)
+    threshold = np.partition(scores, drop - 1)[drop - 1]
+    keep = scores > threshold
+    tied = np.flatnonzero(scores == threshold)
+    keep[tied[drop - (total - np.count_nonzero(keep) - len(tied)):]] = True
+    return np.flatnonzero(keep)

@@ -176,6 +176,23 @@ def test_ged_routes_agree_on_reported_mapping(tmp_path, capsys):
     assert payload["ged_direct"] == pytest.approx(payload["ged_editpath"], abs=1e-9)
 
 
+def test_diff_ged_matches_both_ged_routes_at_other_settings(tmp_path, capsys):
+    # diff solves at alpha 0.3 and takes its ged from that problem; cgalign ged
+    # rebuilds at its own alpha, and the edit path does not build one at all
+    base = synthetic.generate_graph(20, edge_density=0.2, seed=17)
+    mutated, _ = synthetic.mutate(
+        base, synthetic.MutationSpec(insert=2, delete=1, perturb=3, rewire=2), seed=18)
+    path_a, path_b = write_graph_pair(tmp_path, base, mutated)
+    report_path = str(tmp_path / "report.json")
+    costs = ["--d-node", "0.7", "--d-edge", "0.2", "--sparsity", "0.5"]
+    report = run_json(capsys, ["diff", path_a, path_b, "--alpha", "0.3",
+                               "--output", report_path] + costs)
+    assert report["squares"] > 0
+    payload = run_json(capsys, ["ged", path_a, path_b, report_path] + costs)
+    assert report["ged"] == pytest.approx(payload["ged_direct"], abs=1e-9)
+    assert report["ged"] == pytest.approx(payload["ged_editpath"], abs=1e-9)
+
+
 def test_ged_rejects_duplicate_column(tmp_path, capsys):
     graph = synthetic.generate_graph(3, seed=9)
     path_a, path_b = write_graph_pair(tmp_path, graph, graph)
@@ -238,6 +255,30 @@ def test_generate_mutation_flag_validation(tmp_path, capsys):
                               "--out-truth", str(tmp_path / "t.json")])
     assert rc == 2
     assert "bogus" in err
+
+
+def test_diff_unwritable_output_is_a_data_error(tmp_path, capsys):
+    graph = synthetic.generate_graph(4, edge_density=0.3, seed=2)
+    path_a, path_b = write_graph_pair(tmp_path, graph, graph)
+    target = str(tmp_path / "missing" / "report.json")
+    rc, _, err = run(capsys, ["diff", path_a, path_b, "--output", target])
+    assert rc == 2
+    assert err.startswith("error: cannot write") and target in err
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("flag", ["--out", "--out-b", "--out-truth"])
+def test_generate_unwritable_output_is_a_data_error(tmp_path, capsys, flag):
+    paths = {name: str(tmp_path / (name.strip("-") + ".json"))
+             for name in ("--out", "--out-b", "--out-truth")}
+    paths[flag] = str(tmp_path / "missing" / "file.json")
+    argv = ["generate", "--n", "6", "--mutate", "perturb=1"]
+    for name, path in paths.items():
+        argv += [name, path]
+    rc, _, err = run(capsys, argv)
+    assert rc == 2
+    assert err.startswith("error: cannot write") and paths[flag] in err
+    assert len(err.splitlines()) == 1
 
 
 def test_usage_errors_exit_one(capsys):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from cgalign import (Mapping, MappingError, baseline_cost, build_problem,
                      count_squares, generate_graph, ged_cost_direct,
                      ged_cost_editpath, nap_objective)
-from cgalign import SimilarityConfig, build_similarity_matrix
+from cgalign import SimilarityConfig, build_similarity_matrix, nap
 
 from conftest import dense_sim, make_graph
 
@@ -55,10 +55,11 @@ def test_single_square_for_matching_edges():
     a, b, sim = square_instance()
     p = build_problem(sim, a, b)
     assert p.n_squares == 1
-    src = (p.cand_rows[p.sq_src[0]], p.cand_cols[p.sq_src[0]])
-    dst = (p.cand_rows[p.sq_dst[0]], p.cand_cols[p.sq_dst[0]])
-    assert (src, dst) == ((0, 0), (1, 1))
-    assert p.sq_weights[0] == 2 * 0.5
+    assert p.link_count.tolist() == [1]
+    u = (p.cand_rows[p.link_u[0]], p.cand_cols[p.link_u[0]])
+    v = (p.cand_rows[p.link_v[0]], p.cand_cols[p.link_v[0]])
+    assert (u, v) == ((0, 0), (1, 1))
+    assert p.link_w[0] == p.link_count[0] * 2 * 0.5
     assert len(p.link_w) == 1 and p.link_w[0] == 1.0
 
 
@@ -77,11 +78,44 @@ def test_squares_only_connect_retained_candidates():
     p = build_problem(sim, a, b)
     edges_a = set(map(tuple, a.edge_array().tolist()))
     edges_b = set(map(tuple, b.edge_array().tolist()))
-    for s, d in zip(p.sq_src.tolist(), p.sq_dst.tolist()):
-        i, i2 = int(p.cand_rows[s]), int(p.cand_cols[s])
-        j, j2 = int(p.cand_rows[d]), int(p.cand_cols[d])
+    assert p.n_squares > 0
+    for u, v, count in zip(p.link_u.tolist(), p.link_v.tolist(), p.link_count.tolist()):
+        i, i2 = int(p.cand_rows[u]), int(p.cand_cols[u])
+        j, j2 = int(p.cand_rows[v]), int(p.cand_cols[v])
         assert sim.contains(i, i2) and sim.contains(j, j2)
-        assert (i, j) in edges_a and (i2, j2) in edges_b
+        # one square per direction in which both calls exist
+        forward = (i, j) in edges_a and (i2, j2) in edges_b
+        backward = (j, i) in edges_a and (j2, i2) in edges_b
+        assert count == forward + backward >= 1
+
+
+def brute_force_links(sim, a, b):
+    """Links and square counts from a scan of every (edge in A, edge in B) pair."""
+    index = {(int(r), int(c)): k for k, (r, c) in enumerate(zip(sim.rows, sim.cols))}
+    counts = {}
+    for i, k in a.edge_array().tolist():
+        for j, m in b.edge_array().tolist():
+            if (i, j) in index and (k, m) in index:
+                link = tuple(sorted((index[i, j], index[k, m])))
+                counts[link] = counts.get(link, 0) + 1
+    return sorted((u, v, n) for (u, v), n in counts.items())
+
+
+@pytest.mark.parametrize("sparsity", [0.0, 0.5, 0.9])
+def test_links_equal_brute_force_enumeration(sparsity):
+    rng = np.random.default_rng(int(sparsity * 10))
+    for trial in range(8):
+        n_a, n_b = int(rng.integers(1, 25)), int(rng.integers(1, 25))
+        a = generate_graph(n_a, edge_density=float(rng.uniform(0, 0.4)),
+                           seed=int(rng.integers(0, 2**31)), name="A")
+        b = generate_graph(n_b, edge_density=float(rng.uniform(0, 0.4)),
+                           seed=int(rng.integers(0, 2**31)), name="B")
+        sim = build_similarity_matrix(a, b, SimilarityConfig(sparsity_ratio=sparsity))
+        p = build_problem(sim, a, b, d_edge=0.3)
+        got = list(zip(p.link_u.tolist(), p.link_v.tolist(), p.link_count.tolist()))
+        assert got == brute_force_links(sim, a, b)
+        assert p.n_squares == sum(n for _, _, n in got)
+        assert np.array_equal(p.link_w, p.link_count * (2 * 0.3))
 
 
 def test_objective_of_empty_mapping_is_zero():
@@ -223,3 +257,16 @@ def test_objective_mirrors_edit_cost_at_equal_alpha(seed):
     cost = ged_cost_direct(a, b, m, sim)
     base = baseline_cost(n, n, len(a.edges), len(b.edges), 0.5, 0.5)
     assert cost == pytest.approx(base - 2.0 * nap_objective(p, m), abs=1e-9)
+
+
+@pytest.mark.parametrize("chunk", [1, 7])
+def test_links_do_not_depend_on_join_chunk(monkeypatch, chunk):
+    a = generate_graph(20, edge_density=0.3, seed=41, name="A")
+    b = generate_graph(18, edge_density=0.3, seed=42, name="B")
+    sim = build_similarity_matrix(a, b, SimilarityConfig(sparsity_ratio=0.3))
+    whole = build_problem(sim, a, b)
+    monkeypatch.setattr(nap, "JOIN_CHUNK", chunk)
+    chunked = build_problem(sim, a, b)
+    assert whole.n_squares > 0
+    for name in ("link_u", "link_v", "link_count", "link_w"):
+        assert np.array_equal(getattr(whole, name), getattr(chunked, name))

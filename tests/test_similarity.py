@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from cgalign import (SimilarityConfig, SimilarityMatrix, build_similarity_matrix,
                      canberra_similarity, generate_graph)
-from cgalign.similarity import feature_weights
+from cgalign.similarity import feature_weights, prune_lowest
 
 from conftest import make_features, make_graph
 
@@ -180,3 +180,32 @@ def test_deterministic_across_runs():
     assert np.array_equal(one.scores, two.scores)
     assert np.array_equal(one.rows, two.rows)
     assert np.array_equal(one.cols, two.cols)
+
+
+def lexsort_keep(scores, drop):
+    """The pruning rule by full sort: drop the first `drop` by (score, index)."""
+    order = np.lexsort((np.arange(len(scores)), scores))
+    return np.sort(order[max(drop, 0):])
+
+
+@given(st.lists(st.integers(min_value=0, max_value=3), max_size=40),
+       st.integers(min_value=-1, max_value=45))
+def test_prune_lowest_matches_lexsort_on_ties(values, drop):
+    scores = np.asarray(values, dtype=np.float64)
+    assert np.array_equal(prune_lowest(scores, drop), lexsort_keep(scores, drop))
+
+
+@pytest.mark.parametrize("ratio", [0.1, 0.5, 0.9, 1.0])
+def test_pruning_with_tied_scores_keeps_highest_indices(ratio):
+    # two feature vectors and no order bonus: every score takes one of three values
+    templates = [make_features([5, 1, 0, 2, 0, 1]), make_features([1, 4, 4, 0, 3, 0])]
+    a = make_graph(12, features=[templates[i % 3 == 0] for i in range(12)], name="A")
+    b = make_graph(10, features=[templates[i % 2] for i in range(10)], name="B")
+    config = SimilarityConfig(perturbation_scale=0.0)
+    full = build_similarity_matrix(a, b, config)
+    assert len(np.unique(full.scores)) == 3
+    cut = build_similarity_matrix(a, b, SimilarityConfig(perturbation_scale=0.0,
+                                                         sparsity_ratio=ratio))
+    keep = lexsort_keep(full.scores, int(np.floor(ratio * len(full))))
+    assert np.array_equal(cut.flat_keys(), full.flat_keys()[keep])
+    assert np.array_equal(cut.scores, full.scores[keep])
