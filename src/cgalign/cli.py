@@ -12,8 +12,9 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import sys
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from . import bp, evaluation, matchers, nap, similarity, synthetic
 from .errors import DataError
@@ -23,20 +24,40 @@ GED_AGREEMENT_TOL = 1e-9
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse exits with status 2 on usage errors; we reserve 2 for data."""
+    """argparse exits with status 2 on usage errors; we reserve 2 for data.
+
+    A usage error is one line on stderr, without the usage text.
+    """
 
     def error(self, message):
-        self.print_usage(sys.stderr)
-        sys.stderr.write("%s: error: %s\n" % (self.prog, message))
+        sys.stderr.write("%s: error: %s (see %s -h)\n" % (self.prog, message, self.prog))
         raise SystemExit(1)
 
 
+def _ranged(kind, low, high=math.inf, open_high=False):
+    """argparse type: a finite `kind` in [low, high], or in [low, high) if open_high."""
+    span = "%s %s" % ("an integer" if kind is int else "a finite number",
+                      ">= %s" % low if high == math.inf else
+                      "in [%s, %s%s" % (low, high, ")" if open_high else "]"))
+
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            value = math.nan
+        if not (math.isfinite(value) and low <= value
+                and (value < high if open_high else value <= high)):
+            raise argparse.ArgumentTypeError("%r is not %s" % (text, span))
+        return value
+    return parse
+
+
 def _add_cost_flags(sub):
-    sub.add_argument("--sparsity", type=float, default=0.0,
+    sub.add_argument("--sparsity", type=_ranged(float, 0, 1), default=0.0,
                      help="fraction of lowest-similarity pairs to prune (default 0)")
-    sub.add_argument("--d-node", type=float, default=0.5,
+    sub.add_argument("--d-node", type=_ranged(float, 0), default=0.5,
                      help="cost of deleting or inserting a function (default 0.5)")
-    sub.add_argument("--d-edge", type=float, default=0.5,
+    sub.add_argument("--d-edge", type=_ranged(float, 0), default=0.5,
                      help="cost of deleting or inserting a call (default 0.5)")
 
 
@@ -49,16 +70,16 @@ def build_parser() -> argparse.ArgumentParser:
     diff.add_argument("graph_a")
     diff.add_argument("graph_b")
     _add_cost_flags(diff)
-    diff.add_argument("--alpha", type=float, default=0.75,
+    diff.add_argument("--alpha", type=_ranged(float, 0, 1), default=0.75,
                       help="trade-off between function and call similarity (default 0.75)")
-    diff.add_argument("--epsilon", type=float, default=0.5,
+    diff.add_argument("--epsilon", type=_ranged(float, 0), default=0.5,
                       help="belief propagation slack penalty (default 0.5)")
-    diff.add_argument("--max-iters", type=int, default=1000)
-    diff.add_argument("--damping", type=float, default=0.0)
+    diff.add_argument("--max-iters", type=_ranged(int, 0), default=1000)
+    diff.add_argument("--damping", type=_ranged(float, 0, 1, open_high=True), default=0.0)
     diff.add_argument("--matcher", choices=("nap", "mwm", "mcs"), default="nap")
-    diff.add_argument("--k", type=int, default=2,
+    diff.add_argument("--k", type=_ranged(int, 1), default=2,
                       help="neighborhood radius for the mcs matcher (default 2)")
-    diff.add_argument("--threads", type=int, default=1)
+    diff.add_argument("--threads", type=_ranged(int, 1), default=1)
     diff.add_argument("--output", help="write the mapping report to this file")
     diff.add_argument("--json", action="store_true",
                       help="print the report as JSON on stdout")
@@ -68,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
     evl.add_argument("report")
     evl.add_argument("truth")
     evl.add_argument("--program-a", help="graph file to resolve report keys against")
-    evl.add_argument("--program-b")
+    evl.add_argument("--program-b", help="the same for program B; give both or neither")
     evl.add_argument("--json", action="store_true")
     evl.set_defaults(func=cmd_eval)
 
@@ -95,7 +116,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_report(path: str) -> dict:
+def _load_report(path: str) -> List[Tuple]:
+    """The (key_a, key_b) pairs of a mapping report; each key an int or a str."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             doc = json.load(handle)
@@ -105,7 +127,15 @@ def _load_report(path: str) -> dict:
         raise DataError("%s: not valid JSON (%s)" % (path, exc))
     if not isinstance(doc, dict) or not isinstance(doc.get("matched"), list):
         raise DataError("%s: not a mapping report (missing 'matched')" % path)
-    return doc
+    pairs = []
+    for index, entry in enumerate(doc["matched"]):
+        if (not isinstance(entry, list) or len(entry) < 2
+                or any(isinstance(key, bool) or not isinstance(key, (int, str))
+                       for key in entry[:2])):
+            raise DataError("%s: matched[%d] must be [key_a, key_b, ...] with string "
+                            "or integer keys" % (path, index))
+        pairs.append((entry[0], entry[1]))
+    return pairs
 
 
 @contextlib.contextmanager
@@ -122,8 +152,7 @@ def _name_index(graph: CallGraph) -> dict:
 
 
 def _key_to_id(key, graph: CallGraph, names: dict, side: str) -> int:
-    if isinstance(key, bool) or not isinstance(key, (int, str)):
-        raise DataError("bad function key %r for %s" % (key, side))
+    """Function id of a report or truth key, which their readers check is an int or a str."""
     if isinstance(key, int):
         if not 0 <= key < graph.n:
             raise DataError("function index %d out of range for %s" % (key, side))
@@ -194,16 +223,9 @@ def cmd_diff(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    doc = _load_report(args.report)
-    truth = evaluation.load_ground_truth(args.truth)
-    predicted = set()
-    for index, entry in enumerate(doc["matched"]):
-        if not isinstance(entry, list) or len(entry) < 2:
-            raise DataError("%s: matched[%d] must be [key_a, key_b, ...]"
-                            % (args.report, index))
-        predicted.add((entry[0], entry[1]))
-    truth_pairs = set(truth.pairs)
-    if args.program_a and args.program_b:
+    predicted = set(_load_report(args.report))
+    truth_pairs = set(evaluation.load_ground_truth(args.truth).pairs)
+    if args.program_a is not None:
         a = load_call_graph(args.program_a)
         b = load_call_graph(args.program_b)
         names_a, names_b = _name_index(a), _name_index(b)
@@ -238,16 +260,10 @@ def cmd_ged(args) -> int:
     a = load_call_graph(args.graph_a)
     b = load_call_graph(args.graph_b)
     validate_pair(a, b)
-    doc = _load_report(args.report)
     names_a, names_b = _name_index(a), _name_index(b)
-    pairs = []
-    for index, entry in enumerate(doc["matched"]):
-        if not isinstance(entry, list) or len(entry) < 2:
-            raise DataError("%s: matched[%d] must be [key_a, key_b, ...]"
-                            % (args.report, index))
-        pairs.append((_key_to_id(entry[0], a, names_a, "program A"),
-                      _key_to_id(entry[1], b, names_b, "program B")))
-    mapping = nap.Mapping.from_pairs(pairs)
+    mapping = nap.Mapping.from_pairs(
+        (_key_to_id(ka, a, names_a, "program A"), _key_to_id(kb, b, names_b, "program B"))
+        for ka, kb in _load_report(args.report))
     sim_config = similarity.SimilarityConfig(sparsity_ratio=args.sparsity)
     sim = similarity.build_similarity_matrix(a, b, sim_config)
     direct = nap.ged_cost_direct(a, b, mapping, sim,
@@ -317,6 +333,8 @@ def cmd_generate(args) -> int:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "eval" and (args.program_a is None) != (args.program_b is None):
+        parser.error("eval: --program-a and --program-b go together")
     try:
         return args.func(args)
     except DataError as exc:

@@ -82,8 +82,7 @@ def solve_mcs_greedy(problem: NapProblem, a: CallGraph, b: CallGraph,
     """
     if k < 1:
         raise ValueError("k must be positive")
-    n_cand = problem.n_candidates
-    if n_cand == 0:
+    if problem.n_candidates == 0:
         return Mapping.empty()
     rows, cols, w = problem.cand_rows, problem.cand_cols, problem.node_weights
     adj_a = a.undirected_adjacency()
@@ -94,15 +93,14 @@ def solve_mcs_greedy(problem: NapProblem, a: CallGraph, b: CallGraph,
     seed_order = np.lexsort((cols, rows, -w))
     seeds = seed_order[eligible[seed_order]]
 
-    row_taken = np.zeros(problem.n_a, dtype=bool)
-    col_taken = np.zeros(problem.n_b, dtype=bool)
+    row_taken = [False] * problem.n_a  # lists: the loops below read single flags
+    col_taken = [False] * problem.n_b
     matched: List[Tuple[int, int]] = []
     hood_a: Dict[int, List[int]] = {}
     hood_b: Dict[int, List[int]] = {}
-    frontier: List[Tuple[float, int, int, int]] = []
+    frontier: List[Tuple[float, int, int]] = []
 
-    def take(cand: int):
-        i, j = int(rows[cand]), int(cols[cand])
+    def take(i: int, j: int):
         row_taken[i] = True
         col_taken[j] = True
         matched.append((i, j))
@@ -110,33 +108,30 @@ def solve_mcs_greedy(problem: NapProblem, a: CallGraph, b: CallGraph,
             hood_a[i] = _k_hop(adj_a, i, k)
         if j not in hood_b:
             hood_b[j] = _k_hop(adj_b, j, k)
-        for u in hood_a[i]:
-            if row_taken[u]:
-                continue
-            for v in hood_b[j]:
-                if col_taken[v]:
-                    continue
-                c = problem.candidate_index(u, v)
-                if c >= 0 and w[c] > 0.0:
-                    heapq.heappush(frontier, (-float(w[c]), u, v, c))
+        us = [u for u in hood_a[i] if not row_taken[u]]
+        vs = [v for v in hood_b[j] if not col_taken[v]]
+        if not us or not vs:
+            return
+        block = problem.index[np.ix_(us, vs)]
+        hit = block >= 0
+        hit[hit] = w[block[hit]] > 0.0
+        at_u, at_v = np.nonzero(hit)  # row-major, so pushed in (u, v) order
+        for x, y, wc in zip(at_u.tolist(), at_v.tolist(),
+                            w[block[at_u, at_v]].tolist()):
+            heapq.heappush(frontier, (-wc, us[x], vs[y]))
 
-    ptr = 0
-    while ptr < len(seeds):
-        seed = int(seeds[ptr])
-        ptr += 1
-        if row_taken[rows[seed]] or col_taken[cols[seed]]:
+    for i, j in zip(rows[seeds].tolist(), cols[seeds].tolist()):
+        if row_taken[i] or col_taken[j]:
             continue
-        take(seed)
+        take(i, j)
         while frontier:
-            _, u, v, c = heapq.heappop(frontier)
+            _, u, v = heapq.heappop(frontier)
             if row_taken[u] or col_taken[v]:
                 continue
-            take(c)
+            take(u, v)
 
-    leftovers = {}
-    for c in range(n_cand):
-        if w[c] > 0.0 and not row_taken[rows[c]] and not col_taken[cols[c]]:
-            leftovers[(int(rows[c]), int(cols[c]))] = float(w[c])
+    free = (w > 0.0) & ~np.array(row_taken)[rows] & ~np.array(col_taken)[cols]
+    leftovers = dict(zip(zip(rows[free].tolist(), cols[free].tolist()), w[free].tolist()))
     if leftovers:
         matched.extend(solve_mwm(leftovers).pairs)
     return Mapping.from_pairs(matched)

@@ -15,8 +15,8 @@ what makes maximizing the alignment value the same as minimizing edit cost.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Iterable, List, Tuple
 
 import numpy as np
 
@@ -58,18 +58,21 @@ class Mapping:
 class NapProblem:
     """Sparse quadratic alignment problem over retained candidate pairs.
 
-    Candidates are stored in lexicographic (row, col) order.  A square is a
-    pair of call edges i->k in A and j->l in B whose endpoint pairs (i, j)
-    and (k, l) are both candidates.  Squares are stored only as links: one
-    per unordered candidate pair u < v, in (u, v) order, with the number of
-    squares it merges (1 or 2, one per direction).  Every square weighs
-    2*d_edge, so a link weighs its count times that.
+    Candidates are stored in lexicographic (row, col) order, the order of the
+    SimilarityMatrix the problem is built over, so both share its dense
+    `index`: the candidate position of each pair (i, j), or -1 if pruned.
+    A square is a pair of call edges i->k in A and j->l in B whose endpoint
+    pairs (i, j) and (k, l) are both candidates.  Squares are stored only as
+    links: one per unordered candidate pair u < v, in (u, v) order, with the
+    number of squares it merges (1 or 2, one per direction).  Every square
+    weighs 2*d_edge, so a link weighs its count times that.
     """
 
     n_a: int
     n_b: int
     cand_rows: np.ndarray      # int64
     cand_cols: np.ndarray      # int64
+    index: np.ndarray          # int64 (n_a, n_b), candidate position or -1
     node_weights: np.ndarray   # float64, s + 2*d_node - 1
     link_u: np.ndarray         # int64, u < v
     link_v: np.ndarray         # int64
@@ -81,8 +84,6 @@ class NapProblem:
     edges_a: int
     edges_b: int
 
-    _keys: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
-
     @property
     def n_candidates(self) -> int:
         return len(self.node_weights)
@@ -90,19 +91,6 @@ class NapProblem:
     @property
     def n_squares(self) -> int:
         return int(self.link_count.sum())
-
-    def cand_keys(self) -> np.ndarray:
-        if self._keys is None:
-            self._keys = self.cand_rows * max(self.n_b, 1) + self.cand_cols
-        return self._keys
-
-    def candidate_index(self, i: int, j: int) -> int:
-        keys = self.cand_keys()
-        key = i * max(self.n_b, 1) + j
-        pos = int(np.searchsorted(keys, key))
-        if pos < len(keys) and keys[pos] == key:
-            return pos
-        return -1
 
 
 JOIN_CHUNK = 4_000_000  # edge pairs joined at once; bounds the join's scratch arrays
@@ -123,8 +111,8 @@ def _link_keys(sim: SimilarityMatrix, a: CallGraph, b: CallGraph) -> np.ndarray:
     a call i->k and a call j->l whose (k, l) is also kept is a square.  The
     work is the sum of outdeg(i) * outdeg(j) over kept candidates.
     """
-    keys = sim.flat_keys()
-    n_cand, n_b = len(keys), max(sim.n_b, 1)
+    index = sim.index.ravel()
+    n_cand, n_b = len(sim), sim.n_b
     off_a, callee_a = _out_edges(a)
     off_b, callee_b = _out_edges(b)
     rows, cols = sim.rows, sim.cols
@@ -142,9 +130,8 @@ def _link_keys(sim: SimilarityMatrix, a: CallGraph, b: CallGraph) -> np.ndarray:
         t_a, t_b = np.divmod(t, deg_b[src])
         want = (callee_a[off_a[rows[src]] + t_a] * n_b
                 + callee_b[off_b[cols[src]] + t_b])
-        dst = np.searchsorted(keys, want)
-        np.minimum(dst, n_cand - 1, out=dst)
-        hit = keys[dst] == want
+        dst = index[want]
+        hit = dst >= 0
         src, dst = src[hit], dst[hit]
         parts.append(np.minimum(src, dst) * n_cand + np.maximum(src, dst))
         lo = hi
@@ -166,6 +153,7 @@ def build_problem(sim: SimilarityMatrix, a: CallGraph, b: CallGraph,
     return NapProblem(n_a=sim.n_a, n_b=sim.n_b,
                       cand_rows=sim.rows.astype(np.int64),
                       cand_cols=sim.cols.astype(np.int64),
+                      index=sim.index,
                       node_weights=node_weights.astype(np.float64),
                       link_u=link_u, link_v=link_v, link_count=link_count,
                       link_w=link_count * (2.0 * d_edge),
@@ -178,19 +166,16 @@ def candidate_indices(problem: NapProblem, mapping: Mapping) -> np.ndarray:
     if len(mapping) == 0:
         return np.empty(0, dtype=np.int64)
     pairs = np.asarray(mapping.sorted_pairs(), dtype=np.int64)
+    # checked before the gather, where a negative pair would wrap to another cell
     out_of_range = ((pairs[:, 0] < 0) | (pairs[:, 0] >= problem.n_a)
                     | (pairs[:, 1] < 0) | (pairs[:, 1] >= problem.n_b))
     if out_of_range.any():
         bad = pairs[np.argmax(out_of_range)]
         raise MappingError("pair (%d, %d) is outside the problem" % (bad[0], bad[1]))
-    keys = problem.cand_keys()
-    want = pairs[:, 0] * max(problem.n_b, 1) + pairs[:, 1]
-    pos = np.searchsorted(keys, want)
-    np.minimum(pos, max(len(keys) - 1, 0), out=pos)
-    missing = len(keys) == 0 or (keys[pos] != want).any()
-    if missing:
-        hit = np.zeros(len(want), dtype=bool) if len(keys) == 0 else keys[pos] == want
-        bad = pairs[np.argmin(hit)]
+    pos = problem.index[pairs[:, 0], pairs[:, 1]]
+    pruned = pos < 0
+    if pruned.any():
+        bad = pairs[np.argmax(pruned)]
         raise MappingError("pair (%d, %d) is not a retained candidate" % (bad[0], bad[1]))
     return pos
 

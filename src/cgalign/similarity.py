@@ -12,7 +12,7 @@ pairs to keep downstream solvers sparse.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -79,7 +79,11 @@ class SimilarityMatrix:
     """Sparse rectangular matrix of retained candidate pairs.
 
     Entries are stored in lexicographic (row, col) order; absent positions
-    were pruned and are not legal match candidates.
+    were pruned and are not legal match candidates.  `index` is the one
+    lookup from a pair to its entry: a dense (n_a, n_b) int64 array holding
+    each pair's entry position, or -1 where the pair was pruned.  It is built
+    from rows and cols when not given, and the NapProblem built over this
+    matrix shares it, since the problem keeps the same candidate order.
     """
 
     n_a: int
@@ -87,8 +91,12 @@ class SimilarityMatrix:
     rows: np.ndarray    # int64, candidate row indices
     cols: np.ndarray    # int64, candidate col indices
     scores: np.ndarray  # float64 in [0, 1]
+    index: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
-    _keys: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
+    def __post_init__(self):
+        if self.index is None:
+            self.index = np.full((self.n_a, self.n_b), -1, dtype=np.int64)
+            self.index[self.rows, self.cols] = np.arange(len(self.rows))
 
     def __len__(self) -> int:
         return len(self.scores)
@@ -97,19 +105,10 @@ class SimilarityMatrix:
     def pruned(self) -> int:
         return self.n_a * self.n_b - len(self)
 
-    def flat_keys(self) -> np.ndarray:
-        """row * n_b + col per entry, ascending (entries are lex sorted)."""
-        if self._keys is None:
-            self._keys = self.rows * max(self.n_b, 1) + self.cols
-        return self._keys
-
     def find(self, i: int, j: int) -> int:
-        """Index of candidate (i, j) in the entry arrays, or -1 if pruned."""
-        keys = self.flat_keys()
-        key = i * max(self.n_b, 1) + j
-        pos = int(np.searchsorted(keys, key))
-        if pos < len(keys) and keys[pos] == key:
-            return pos
+        """Index of candidate (i, j) in the entry arrays, or -1 if pruned or outside."""
+        if 0 <= i < self.n_a and 0 <= j < self.n_b:
+            return int(self.index[i, j])
         return -1
 
     def get(self, i: int, j: int) -> float:
@@ -162,8 +161,15 @@ def build_similarity_matrix(a: CallGraph, b: CallGraph,
 
     flat = scores.ravel()
     keep = prune_lowest(flat, int(np.floor(config.sparsity_ratio * total)))
+    kept = flat[keep]
+    # the kept scores are copied out, so the score buffer becomes the index
+    # and no second n_a x n_b array is allocated while it is alive
+    index = flat.view(np.int64)
+    index.fill(-1)
+    index[keep] = np.arange(len(keep))
     rows, cols = np.divmod(keep, n_b)
-    return SimilarityMatrix(n_a=n_a, n_b=n_b, rows=rows, cols=cols, scores=flat[keep])
+    return SimilarityMatrix(n_a=n_a, n_b=n_b, rows=rows, cols=cols, scores=kept,
+                            index=index.reshape(n_a, n_b))
 
 
 def prune_lowest(scores: np.ndarray, drop: int) -> np.ndarray:

@@ -12,7 +12,10 @@ from cgalign.graphs import load_call_graph, save_call_graph
 
 
 def run(capsys, argv):
-    rc = cli.main(argv)
+    try:
+        rc = cli.main(argv)
+    except SystemExit as exc:  # a usage error
+        rc = exc.code
     captured = capsys.readouterr()
     return rc, captured.out, captured.err
 
@@ -289,3 +292,63 @@ def test_usage_errors_exit_one(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["no-such-command"])
     assert exc.value.code == 1
+
+
+BAD_FLAGS = [
+    ("diff", ["--alpha", "2"]), ("diff", ["--alpha", "nan"]),
+    ("diff", ["--sparsity", "1.5"]), ("diff", ["--epsilon", "-1"]),
+    ("diff", ["--threads", "0"]), ("diff", ["--threads", "-1"]),
+    ("diff", ["--max-iters", "-1"]), ("diff", ["--damping", "1"]),
+    ("diff", ["--d-node", "-1"]), ("diff", ["--d-node", "inf"]),
+    ("diff", ["--d-edge", "-0.5"]), ("diff", ["--matcher", "mcs", "--k", "0"]),
+    ("ged", ["--sparsity", "2"]), ("ged", ["--d-node", "-1"]),
+]
+
+
+@pytest.mark.parametrize("command, flags", BAD_FLAGS,
+                         ids=[" ".join([c] + f) for c, f in BAD_FLAGS])
+def test_out_of_range_flag_is_a_one_line_usage_error(tmp_path, capsys, command, flags):
+    graph = synthetic.generate_graph(5, edge_density=0.3, seed=3)
+    path_a, path_b = write_graph_pair(tmp_path, graph, graph)
+    report_path = str(tmp_path / "report.json")
+    with open(report_path, "w") as handle:
+        json.dump({"matched": [[0, 0]]}, handle)
+    paths = [path_a, path_b] + ([report_path] if command == "ged" else [])
+    rc, _, err = run(capsys, [command] + paths + flags)
+    assert rc == 1
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert flags[-2] in err
+
+
+@pytest.mark.parametrize("key", [["x"], {"x": 1}, True, 1.0, None])
+@pytest.mark.parametrize("command", ["eval", "ged"])
+def test_report_key_that_is_not_an_int_or_str_is_a_data_error(tmp_path, capsys,
+                                                              command, key):
+    graph = synthetic.generate_graph(3, seed=6)
+    path_a, path_b = write_graph_pair(tmp_path, graph, graph)
+    report_path = str(tmp_path / "report.json")
+    with open(report_path, "w") as handle:
+        json.dump({"matched": [["fn0000", "fn0000", 0.5], [key, "fn0001", 0.5]]}, handle)
+    truth_path = str(tmp_path / "truth.json")
+    evaluation.save_ground_truth(
+        evaluation.GroundTruth.from_pairs([("fn0000", "fn0000")]), truth_path)
+    argv = (["eval", report_path, truth_path] if command == "eval"
+            else ["ged", path_a, path_b, report_path])
+    rc, _, err = run(capsys, argv)
+    assert rc == 2
+    assert err.startswith("error: ") and "matched[1]" in err
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("flag", ["--program-a", "--program-b"])
+def test_eval_program_flag_without_its_partner_is_a_usage_error(tmp_path, capsys, flag):
+    graph = synthetic.generate_graph(3, seed=6)
+    path_a, _ = write_graph_pair(tmp_path, graph, graph)
+    report_path = str(tmp_path / "report.json")
+    with open(report_path, "w") as handle:
+        json.dump({"matched": []}, handle)
+    truth_path = str(tmp_path / "truth.json")
+    evaluation.save_ground_truth(evaluation.GroundTruth.from_pairs([]), truth_path)
+    rc, _, err = run(capsys, ["eval", report_path, truth_path, flag, path_a])
+    assert rc == 1
+    assert len(err.splitlines()) == 1 and "--program-a and --program-b" in err

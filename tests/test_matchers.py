@@ -1,12 +1,16 @@
 """Exact linear matcher, greedy neighborhood matcher, exhaustive search."""
 
+import heapq
+
 import numpy as np
 import pytest
 
-from cgalign import (BpConfig, Mapping, SearchSpaceError, brute_force_optimum,
-                     build_problem, generate_graph, nap_objective,
-                     node_weight_map, solve_mcs_greedy, solve_mwm, solve_nap)
+from cgalign import (BpConfig, Mapping, MutationSpec, SearchSpaceError,
+                     brute_force_optimum, build_problem, generate_graph, mutate,
+                     nap_objective, node_weight_map, solve_mcs_greedy, solve_mwm,
+                     solve_nap)
 from cgalign import SimilarityConfig, build_similarity_matrix
+from cgalign.matchers import _k_hop
 
 from conftest import dense_sim, make_graph
 
@@ -110,6 +114,72 @@ def test_mcs_k_controls_expansion_radius():
     sim = dense_sim([[0.9, 0.2, 0.1], [0.2, 0.9, 0.2], [0.1, 0.2, 0.9]])
     p = build_problem(sim, a, b)
     assert solve_mcs_greedy(p, a, b, k=1) == solve_mcs_greedy(p, a, b, k=2)
+
+
+def reference_mcs(problem, a, b, k):
+    """The greedy matcher with one scalar candidate lookup per (u, v) pair."""
+    position = {(int(r), int(c)): t for t, (r, c)
+                in enumerate(zip(problem.cand_rows, problem.cand_cols))}
+    rows, cols, w = problem.cand_rows, problem.cand_cols, problem.node_weights
+    if len(w) == 0:
+        return Mapping.empty()
+    adj_a, adj_b = a.undirected_adjacency(), b.undirected_adjacency()
+    deg_a = np.array([len(x) for x in adj_a], dtype=np.int64)
+    deg_b = np.array([len(x) for x in adj_b], dtype=np.int64)
+    eligible = (w > 0.0) & (deg_a[rows] > 0) & (deg_b[cols] > 0)
+    seed_order = np.lexsort((cols, rows, -w))
+    seeds = seed_order[eligible[seed_order]]
+    row_taken = np.zeros(problem.n_a, dtype=bool)
+    col_taken = np.zeros(problem.n_b, dtype=bool)
+    matched, frontier = [], []
+
+    def take(cand):
+        i, j = int(rows[cand]), int(cols[cand])
+        row_taken[i] = col_taken[j] = True
+        matched.append((i, j))
+        for u in _k_hop(adj_a, i, k):
+            if row_taken[u]:
+                continue
+            for v in _k_hop(adj_b, j, k):
+                if col_taken[v]:
+                    continue
+                c = position.get((u, v), -1)
+                if c >= 0 and w[c] > 0.0:
+                    heapq.heappush(frontier, (-float(w[c]), u, v, c))
+
+    for seed in seeds.tolist():
+        if row_taken[rows[seed]] or col_taken[cols[seed]]:
+            continue
+        take(seed)
+        while frontier:
+            _, u, v, c = heapq.heappop(frontier)
+            if not (row_taken[u] or col_taken[v]):
+                take(c)
+
+    leftovers = {}
+    for c in range(len(w)):
+        if w[c] > 0.0 and not row_taken[rows[c]] and not col_taken[cols[c]]:
+            leftovers[(int(rows[c]), int(cols[c]))] = float(w[c])
+    if leftovers:
+        matched.extend(solve_mwm(leftovers).pairs)
+    return Mapping.from_pairs(matched)
+
+
+@pytest.mark.parametrize("sparsity", [0.0, 0.5, 0.9])
+@pytest.mark.parametrize("k", [1, 2])
+def test_mcs_matches_scalar_lookup_reference(sparsity, k):
+    rng = np.random.default_rng(int(sparsity * 10) + 100 * k)
+    for trial in range(6):
+        n = int(rng.integers(2, 60))
+        base = generate_graph(n, edge_density=float(rng.uniform(0.02, 0.2)),
+                              seed=int(rng.integers(0, 2**31)),
+                              templates=int(rng.integers(1, n + 1)), name="A")
+        spec = MutationSpec(insert=int(rng.integers(0, 4)), delete=int(rng.integers(0, 2)),
+                            perturb=int(rng.integers(0, n)), rewire=int(rng.integers(0, 4)))
+        other, _ = mutate(base, spec, seed=int(rng.integers(0, 2**31)))
+        sim = build_similarity_matrix(base, other, SimilarityConfig(sparsity_ratio=sparsity))
+        p = build_problem(sim, base, other, d_node=float(rng.uniform(0.0, 0.5)))
+        assert solve_mcs_greedy(p, base, other, k=k) == reference_mcs(p, base, other, k)
 
 
 def test_brute_force_empty_problem():

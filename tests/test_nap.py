@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from cgalign import (Mapping, MappingError, baseline_cost, build_problem,
                      count_squares, generate_graph, ged_cost_direct,
                      ged_cost_editpath, nap_objective)
-from cgalign import SimilarityConfig, build_similarity_matrix, nap
+from cgalign import SimilarityConfig, SimilarityMatrix, build_similarity_matrix, nap
 
 from conftest import dense_sim, make_graph
 
@@ -270,3 +270,41 @@ def test_links_do_not_depend_on_join_chunk(monkeypatch, chunk):
     assert whole.n_squares > 0
     for name in ("link_u", "link_v", "link_count", "link_w"):
         assert np.array_equal(getattr(whole, name), getattr(chunked, name))
+
+
+def index_cases():
+    """(label, sim, a, b): sims from build_similarity_matrix and one built directly."""
+    a = generate_graph(9, edge_density=0.3, seed=43, name="A")
+    b = generate_graph(7, edge_density=0.3, seed=44, name="B")
+    for sparsity in (0.0, 0.5, 0.9, 1.0):
+        yield "sparsity %s" % sparsity, build_similarity_matrix(
+            a, b, SimilarityConfig(sparsity_ratio=sparsity)), a, b
+    # entries not in lexicographic order, and (1, 0) and (0, 2) pruned
+    rows = np.array([1, 0, 0, 1], dtype=np.int64)
+    cols = np.array([2, 1, 0, 1], dtype=np.int64)
+    sim = SimilarityMatrix(n_a=2, n_b=3, rows=rows, cols=cols,
+                           scores=np.array([0.9, 0.4, 0.8, 0.7]))
+    yield "direct", sim, make_graph(2, edges=[(0, 1)], name="A"), make_graph(
+        3, edges=[(0, 1), (1, 2)], name="B")
+
+
+@pytest.mark.parametrize("case", list(index_cases()), ids=lambda case: case[0])
+def test_dense_index_is_the_one_candidate_lookup(case):
+    _, sim, a, b = case
+    n = len(sim)
+    assert sim.index.shape == (sim.n_a, sim.n_b) and sim.index.dtype == np.int64
+    assert np.array_equal(sim.index[sim.rows, sim.cols], np.arange(n))
+    assert np.count_nonzero(sim.index >= 0) == n
+    for i, j in ((-1, 0), (0, -1), (sim.n_a, 0), (0, sim.n_b), (-1, -1)):
+        assert sim.find(i, j) == -1 and not sim.contains(i, j)
+    p = build_problem(sim, a, b)
+    assert p.index is sim.index
+    if n:
+        first = Mapping.from_pairs([(int(sim.rows[0]), int(sim.cols[0]))])
+        assert nap.candidate_indices(p, first).tolist() == [0]
+    pruned = np.argwhere(sim.index < 0)
+    if len(pruned):
+        with pytest.raises(MappingError, match="not a retained candidate"):
+            nap.candidate_indices(p, Mapping.from_pairs([tuple(pruned[-1].tolist())]))
+    with pytest.raises(MappingError, match="outside the problem"):
+        nap.candidate_indices(p, Mapping.from_pairs([(-1, 0)]))

@@ -148,7 +148,7 @@ def test_entries_stay_lex_sorted_after_pruning():
     a = generate_graph(7, edge_density=0.2, seed=8, name="A")
     b = generate_graph(7, edge_density=0.2, seed=9, name="B")
     sim = build_similarity_matrix(a, b, SimilarityConfig(sparsity_ratio=0.4))
-    keys = sim.flat_keys()
+    keys = sim.rows * sim.n_b + sim.cols
     assert np.all(np.diff(keys) > 0)
 
 
@@ -207,5 +207,6 @@ def test_pruning_with_tied_scores_keeps_highest_indices(ratio):
     cut = build_similarity_matrix(a, b, SimilarityConfig(perturbation_scale=0.0,
                                                          sparsity_ratio=ratio))
     keep = lexsort_keep(full.scores, int(np.floor(ratio * len(full))))
-    assert np.array_equal(cut.flat_keys(), full.flat_keys()[keep])
+    assert np.array_equal(cut.rows, full.rows[keep])
+    assert np.array_equal(cut.cols, full.cols[keep])
     assert np.array_equal(cut.scores, full.scores[keep])
