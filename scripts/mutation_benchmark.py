@@ -27,7 +27,8 @@ def run_level(fraction, args):
         problem = cg.build_problem(sim, base, mutated)
 
         m_bp, _ = cg.solve_nap(problem, cg.BpConfig())
-        m_mwm = cg.solve_mwm(cg.node_weight_map(problem))
+        m_mwm = cg.max_weight_matching(problem.cand_rows, problem.cand_cols,
+                                       problem.node_weights)
         m_mcs = cg.solve_mcs_greedy(problem, base, mutated)
         for mapping, bucket in ((m_bp, bp_recalls), (m_mwm, mwm_recalls),
                                 (m_mcs, mcs_recalls)):

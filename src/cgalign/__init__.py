@@ -14,7 +14,8 @@ from .evaluation import GroundTruth, ScoreReport, extrapolate, load_ground_truth
 from .graphs import (CallGraph, FeatureVector, FunctionNode, load_call_graph,
                      parse_call_graph, save_call_graph, serialize_call_graph,
                      validate_pair)
-from .matchers import brute_force_optimum, node_weight_map, solve_mcs_greedy, solve_mwm
+from .matchers import (brute_force_optimum, max_weight_matching, node_weight_map,
+                       solve_mcs_greedy, solve_mwm)
 from .nap import (Mapping, NapProblem, baseline_cost, build_problem, count_squares,
                   ged_cost_direct, ged_cost_editpath, nap_objective)
 from .similarity import (SimilarityConfig, SimilarityMatrix, build_similarity_matrix,
@@ -31,7 +32,8 @@ __all__ = [
     "baseline_cost", "bp_iterate", "brute_force_optimum", "build_problem",
     "build_similarity_matrix", "canberra_similarity", "count_squares", "estimate_mode",
     "extrapolate", "ged_cost_direct", "ged_cost_editpath", "generate_graph",
-    "init_state", "load_call_graph", "load_ground_truth", "mapping_to_keys", "mutate",
+    "init_state", "load_call_graph", "load_ground_truth", "mapping_to_keys",
+    "max_weight_matching", "mutate",
     "nap_objective", "node_weight_map", "parse_call_graph", "save_call_graph",
     "save_ground_truth", "score", "serialize_call_graph", "solve_mcs_greedy",
     "solve_mwm", "solve_nap", "validate_pair",

@@ -7,9 +7,11 @@ Messages live on the candidate pairs and on the links between them:
 * h_uv[l] / h_vu[l] carry square support across link l in each direction.
 
 All updates read the previous iteration's messages (Jacobi schedule).  A
-candidate's belief combines its weight, penalties for not being the best in
-its row and column, and clamped support from incident links; the mode keeps
-candidates with positive belief, made one-to-one by a small exact matching.
+candidate's belief p_hat combines its weight, penalties for not being the
+best in its row and column, and clamped support from incident links.  It is
+a plain field of the state, computed with the messages it belongs to: once
+by init_state and once by every bp_iterate.  estimate_mode only rounds it:
+the candidates with positive belief, made one-to-one by max_weight_matching.
 
 Row/column maxima excluding the candidate itself are computed per segment
 with a top-2 trick, so one iteration costs O(candidates + links); nothing
@@ -20,13 +22,13 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
-from .nap import Mapping, NapProblem, mapping_from_candidates, nap_objective
+from .matchers import max_weight_matching
+from .nap import Mapping, NapProblem, nap_objective
 
 MESSAGE_TOL = 1e-9  # max-norm change that counts as convergence
 TIE_TOL = 1e-12     # message differences below this are treated as ties
@@ -53,65 +55,33 @@ class BpConfig:
             raise ValueError("threads must be positive")
 
 
-@dataclass
-class _Workspace:
-    """Problem-derived arrays reused by every iteration."""
-
-    wn: np.ndarray        # alpha-scaled node weights
-    wl: np.ndarray        # (1 - alpha)-scaled link weights
-    starts_r: np.ndarray  # segment starts over candidates sorted by row
-    seg_r: np.ndarray     # segment id per candidate (row order = storage order)
-    perm_c: np.ndarray    # permutation sorting candidates by column
-    starts_c: np.ndarray
-    seg_c: np.ndarray     # segment id per *permuted* position
-    problem: Optional["NapProblem"] = None
-    epsilon: float = 0.5
-    threads: int = 1
-    pool: Optional[ThreadPoolExecutor] = None
-
-
-@dataclass
 class BpState:
-    """Message state after `iteration` updates.
+    """Messages after `iteration` updates of one problem under one config.
 
-    f, g and the h arrays always hold the latest messages; phi, gamma and
-    p_hat are derived from them on demand (and cached, so an estimate_mode
-    call followed by bp_iterate computes them only once).  best_mapping and
-    best_objective are maintained by solve_nap.
+    init_state binds a state to its problem and config for good.  p_hat is
+    the belief of the current messages: it is computed with them, together
+    with the terms the next update reads, so it never lags behind them.
     """
 
-    f: np.ndarray
-    g: np.ndarray
-    h_uv: np.ndarray   # link message u -> v
-    h_vu: np.ndarray   # link message v -> u
-    iteration: int = 0
-    delta: float = float("inf")
-    ops_last: int = 0
-    best_mapping: Mapping = field(default_factory=Mapping.empty)
-    best_objective: float = 0.0
-    ws: Optional[_Workspace] = field(default=None, repr=False, compare=False)
-    _cache: Optional[tuple] = field(default=None, repr=False, compare=False)
-
-    def _derived_now(self) -> tuple:
-        if self._cache is None:
-            if self.ws is None or self.ws.problem is None:
-                raise RuntimeError("state has no workspace; use init_state")
-            self._cache = _derived(self.ws.problem, self.ws, self,
-                                   self.ws.epsilon)
-        return self._cache
-
-    @property
-    def phi(self) -> np.ndarray:
-        return self._derived_now()[0]
-
-    @property
-    def gamma(self) -> np.ndarray:
-        return self._derived_now()[1]
-
-    @property
-    def p_hat(self) -> np.ndarray:
-        """Belief of the current messages."""
-        return self._derived_now()[7]
+    def __init__(self, problem: NapProblem, config: BpConfig):
+        self.problem = problem
+        self.config = config
+        n_cand, n_link = problem.n_candidates, len(problem.link_w)
+        self.f = np.zeros(n_cand)
+        self.g = np.zeros(n_cand)
+        self.h_uv = np.zeros(n_link)  # link message u -> v
+        self.h_vu = np.zeros(n_link)  # link message v -> u
+        self.iteration = 0
+        self.delta = float("inf")
+        self.ops_last = 0
+        self._wn = problem.alpha * problem.node_weights
+        self._wl = (1.0 - problem.alpha) * problem.link_w
+        self._starts_r, self._seg_r = _segments(problem.cand_rows)  # row order = storage order
+        self._perm_c = np.lexsort((problem.cand_rows, problem.cand_cols))
+        self._starts_c, self._seg_c = _segments(problem.cand_cols[self._perm_c])
+        self._pool = (ThreadPoolExecutor(max_workers=config.threads)
+                      if config.threads > 1 else None)
+        _beliefs(self)  # sets p_hat and the terms of the next update
 
     def message_memory_bytes(self) -> int:
         return self.f.nbytes + self.g.nbytes + self.h_uv.nbytes + self.h_vu.nbytes
@@ -140,34 +110,21 @@ def _segments(sorted_ids: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return np.flatnonzero(boundary), np.cumsum(boundary) - 1
 
 
-def _make_workspace(problem: NapProblem, config: "BpConfig") -> _Workspace:
-    wn = problem.alpha * problem.node_weights
-    wl = (1.0 - problem.alpha) * problem.link_w
-    starts_r, seg_r = _segments(problem.cand_rows)
-    perm_c = np.lexsort((problem.cand_rows, problem.cand_cols))
-    starts_c, seg_c = _segments(problem.cand_cols[perm_c])
-    threads = config.threads
-    pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
-    return _Workspace(wn=wn, wl=wl, starts_r=starts_r, seg_r=seg_r,
-                      perm_c=perm_c, starts_c=starts_c, seg_c=seg_c,
-                      problem=problem, epsilon=config.epsilon,
-                      threads=threads, pool=pool)
-
-
-def _run_chunks(n: int, ws: _Workspace, fn):
+def _run_chunks(state: BpState, n: int, fn):
     """Apply fn(lo, hi) over [0, n); chunks write disjoint slices."""
-    if ws.pool is None or n < 1024:
+    if state._pool is None or n < 1024:
         fn(0, n)
         return
-    bounds = np.linspace(0, n, ws.threads + 1).astype(np.int64)
-    jobs = [ws.pool.submit(fn, int(bounds[k]), int(bounds[k + 1]))
-            for k in range(ws.threads)]
+    threads = state.config.threads
+    bounds = np.linspace(0, n, threads + 1).astype(np.int64)
+    jobs = [state._pool.submit(fn, int(bounds[k]), int(bounds[k + 1]))
+            for k in range(threads)]
     for job in jobs:
         job.result()
 
 
 def _segment_stats(values: np.ndarray, starts: np.ndarray,
-                   seg: np.ndarray) -> Tuple[np.ndarray, np.ndarray, int]:
+                   seg: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Per element: max of its segment, and max of the segment excluding it.
 
     The exclusive max removes one occurrence of the maximum, so duplicated
@@ -182,158 +139,127 @@ def _segment_stats(values: np.ndarray, starts: np.ndarray,
     trimmed[first] = -np.inf
     m2 = np.maximum.reduceat(trimmed, starts)
     excl = np.where(pos == first[seg], m2[seg], full)
-    ops = 7 * len(values)
-    return full, excl, ops
+    return full, excl
 
 
-def _support(problem: NapProblem, ws: _Workspace, h_uv: np.ndarray,
-             h_vu: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+def _support(state: BpState) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Clamped incoming link terms and their per-candidate sums."""
-    n_cand = problem.n_candidates
-    n_link = len(ws.wl)
-    if n_link == 0:
-        zero = np.zeros(0)
-        return np.zeros(n_cand), zero, zero.copy(), 0
+    problem, wl = state.problem, state._wl
+    n_cand, n_link = problem.n_candidates, len(wl)
     in_u = np.empty(n_link)
     in_v = np.empty(n_link)
+    h_uv, h_vu = state.h_uv, state.h_vu
 
     def fill(lo, hi):
-        np.clip(ws.wl[lo:hi] + h_vu[lo:hi], 0.0, ws.wl[lo:hi], out=in_u[lo:hi])
-        np.clip(ws.wl[lo:hi] + h_uv[lo:hi], 0.0, ws.wl[lo:hi], out=in_v[lo:hi])
+        np.clip(wl[lo:hi] + h_vu[lo:hi], 0.0, wl[lo:hi], out=in_u[lo:hi])
+        np.clip(wl[lo:hi] + h_uv[lo:hi], 0.0, wl[lo:hi], out=in_v[lo:hi])
 
-    _run_chunks(n_link, ws, fill)
+    _run_chunks(state, n_link, fill)
     support = (np.bincount(problem.link_u, weights=in_u, minlength=n_cand)
                + np.bincount(problem.link_v, weights=in_v, minlength=n_cand))
-    return support, in_u, in_v, 6 * n_link + n_cand
+    return support, in_u, in_v
 
 
-def _derived(problem: NapProblem, ws: _Workspace, state: BpState, epsilon: float):
-    """Belief and penalty terms of the state's current messages."""
-    if problem.n_candidates == 0:
-        zero = np.zeros(0)
-        return (zero,) * 8 + (0,)
-    ops = 0
-    full_f, excl_f, o = _segment_stats(state.f, ws.starts_r, ws.seg_r)
-    ops += o
-    g_c = state.g[ws.perm_c]
-    full_g_c, excl_g_c, o = _segment_stats(g_c, ws.starts_c, ws.seg_c)
-    ops += o + len(g_c)
+def _beliefs(state: BpState) -> None:
+    """Set p_hat, and the terms the next update reads, from the current messages."""
+    n_cand = state.problem.n_candidates
+    f, g, perm_c, epsilon = state.f, state.g, state._perm_c, state.config.epsilon
+    full_f, excl_f = _segment_stats(f, state._starts_r, state._seg_r)
+    full_g_c, excl_g_c = _segment_stats(g[perm_c], state._starts_c, state._seg_c)
     full_g = np.empty_like(full_g_c)
     excl_g = np.empty_like(excl_g_c)
-    full_g[ws.perm_c] = full_g_c
-    excl_g[ws.perm_c] = excl_g_c
+    full_g[perm_c] = full_g_c
+    excl_g[perm_c] = excl_g_c
 
-    phi = np.where(full_f - state.f < TIE_TOL, 0.0, epsilon)
-    gamma = np.where(full_g - state.g < TIE_TOL, 0.0, epsilon)
+    phi = np.where(full_f - f < TIE_TOL, 0.0, epsilon)
+    gamma = np.where(full_g - g < TIE_TOL, 0.0, epsilon)
     rexf = np.maximum(excl_f, 0.0)
     cexg = np.maximum(excl_g, 0.0)
-    support, in_u, in_v, o = _support(problem, ws, state.h_uv, state.h_vu)
-    ops += o + 6 * problem.n_candidates
+    support, state._in_u, state._in_v = _support(state)
 
-    belief = np.empty(problem.n_candidates)
+    wn = state._wn
+    f_next = np.empty(n_cand)
+    g_next = np.empty(n_cand)
+    p_hat = np.empty(n_cand)
 
     def fill(lo, hi):
-        belief[lo:hi] = (ws.wn[lo:hi] - rexf[lo:hi] - phi[lo:hi]
-                         - cexg[lo:hi] - gamma[lo:hi] + support[lo:hi])
+        row_side = wn[lo:hi] - rexf[lo:hi] - phi[lo:hi]
+        f_next[lo:hi] = wn[lo:hi] - cexg[lo:hi] - gamma[lo:hi] + support[lo:hi]
+        g_next[lo:hi] = row_side + support[lo:hi]
+        p_hat[lo:hi] = row_side - cexg[lo:hi] - gamma[lo:hi] + support[lo:hi]
 
-    _run_chunks(problem.n_candidates, ws, fill)
-    ops += 5 * problem.n_candidates
-    return phi, gamma, rexf, cexg, support, in_u, in_v, belief, ops
+    _run_chunks(state, n_cand, fill)
+    state.p_hat, state._f_next, state._g_next = p_hat, f_next, g_next
+
+
+def _check_problem(problem: NapProblem, state: BpState):
+    if problem is not state.problem:
+        raise ValueError("the state was initialised for another problem")
 
 
 def init_state(problem: NapProblem, config: Optional[BpConfig] = None) -> BpState:
     """All-zero messages; the initial belief is weight plus full link support."""
-    config = config or BpConfig()
-    ws = _make_workspace(problem, config)
-    n_cand, n_link = problem.n_candidates, len(ws.wl)
-    return BpState(f=np.zeros(n_cand), g=np.zeros(n_cand),
-                   h_uv=np.zeros(n_link), h_vu=np.zeros(n_link), ws=ws)
+    return BpState(problem, config or BpConfig())
 
 
 def bp_iterate(problem: NapProblem, state: BpState,
                config: Optional[BpConfig] = None) -> BpState:
-    """One Jacobi update of all messages."""
-    config = config or BpConfig()
-    if state.ws is None:
-        state.ws = _make_workspace(problem, config)
-    ws = state.ws
-    if config.epsilon != ws.epsilon:
-        ws.epsilon = config.epsilon
-        state._cache = None
-    n_cand, n_link = problem.n_candidates, len(ws.wl)
+    """One Jacobi update of all messages, then the belief of the new ones.
 
-    phi, gamma, rexf, cexg, support, in_u, in_v, belief, ops = state._derived_now()
+    `problem` must be the state's own, and `config`, when given, equal to
+    the one the state was initialised with.
+    """
+    _check_problem(problem, state)
+    if config is not None and config != state.config:
+        raise ValueError("the state was initialised with another config")
+    n_cand, n_link = problem.n_candidates, len(state.h_uv)
 
-    f_new = np.empty(n_cand)
-    g_new = np.empty(n_cand)
+    f_new, g_new = state._f_next, state._g_next
+    h_uv_new = np.empty(n_link)
+    h_vu_new = np.empty(n_link)
+    p_hat, in_u, in_v = state.p_hat, state._in_u, state._in_v
 
-    def fill_fg(lo, hi):
-        f_new[lo:hi] = ws.wn[lo:hi] - cexg[lo:hi] - gamma[lo:hi] + support[lo:hi]
-        g_new[lo:hi] = ws.wn[lo:hi] - rexf[lo:hi] - phi[lo:hi] + support[lo:hi]
+    def fill_h(lo, hi):
+        h_uv_new[lo:hi] = p_hat[problem.link_u[lo:hi]] - in_u[lo:hi]
+        h_vu_new[lo:hi] = p_hat[problem.link_v[lo:hi]] - in_v[lo:hi]
 
-    _run_chunks(n_cand, ws, fill_fg)
-    ops += 6 * n_cand
+    _run_chunks(state, n_link, fill_h)
 
-    if n_link:
-        h_uv_new = np.empty(n_link)
-        h_vu_new = np.empty(n_link)
-
-        def fill_h(lo, hi):
-            h_uv_new[lo:hi] = belief[problem.link_u[lo:hi]] - in_u[lo:hi]
-            h_vu_new[lo:hi] = belief[problem.link_v[lo:hi]] - in_v[lo:hi]
-
-        _run_chunks(n_link, ws, fill_h)
-        ops += 4 * n_link
-    else:
-        h_uv_new, h_vu_new = state.h_uv, state.h_vu
-
-    d = config.damping
+    d = state.config.damping
     if d > 0.0:
         f_new = (1.0 - d) * f_new + d * state.f
         g_new = (1.0 - d) * g_new + d * state.g
-        if n_link:
-            h_uv_new = (1.0 - d) * h_uv_new + d * state.h_uv
-            h_vu_new = (1.0 - d) * h_vu_new + d * state.h_vu
-        ops += 4 * n_cand + 4 * n_link
+        h_uv_new = (1.0 - d) * h_uv_new + d * state.h_uv
+        h_vu_new = (1.0 - d) * h_vu_new + d * state.h_vu
 
-    delta = 0.0
-    if n_cand:
-        delta = max(float(np.max(np.abs(f_new - state.f))),
-                    float(np.max(np.abs(g_new - state.g))))
-    if n_link:
-        delta = max(delta, float(np.max(np.abs(h_uv_new - state.h_uv))),
-                    float(np.max(np.abs(h_vu_new - state.h_vu))))
-    ops += 4 * n_cand + 4 * n_link
+    pairs = ((f_new, state.f), (g_new, state.g),
+             (h_uv_new, state.h_uv), (h_vu_new, state.h_vu))
+    delta = float(max((np.max(np.abs(new - old)) for new, old in pairs if len(new)),
+                      default=0.0))
 
     state.f, state.g = f_new, g_new
     state.h_uv, state.h_vu = h_uv_new, h_vu_new
-    state._cache = None
     state.iteration += 1
     state.delta = delta
-    state.ops_last = ops
+    # modelled work: the belief terms of the messages read (row and column
+    # maxima 15n, link support 6L + n, sums 11n), the message fills (6n + 4L),
+    # damping (4n + 4L) and the deltas (4n + 4L)
+    state.ops_last = (36 * n_cand + (n_cand + 14 * n_link if n_link else 0)
+                      + (4 * (n_cand + n_link) if d > 0.0 else 0))
+    _beliefs(state)
     return state
 
 
 def estimate_mode(problem: NapProblem, state: BpState) -> Mapping:
-    """One-to-one mapping over candidates with positive belief.
+    """Round the current belief to a one-to-one mapping.
 
-    Candidates with p_hat <= 0 are dropped; the rest are resolved by an
-    exact matching restricted to the rows and columns they touch, and only
-    positive-belief cells can be selected.
+    Candidates with p_hat <= 0 are dropped; the rest are made one-to-one by
+    an exact matching over the rows and columns they touch.
     """
+    _check_problem(problem, state)
     positive = np.flatnonzero(state.p_hat > 0.0)
-    if len(positive) == 0:
-        return Mapping.empty()
-    rows = problem.cand_rows[positive]
-    cols = problem.cand_cols[positive]
-    row_ids, row_pos = np.unique(rows, return_inverse=True)
-    col_ids, col_pos = np.unique(cols, return_inverse=True)
-    dense = np.zeros((len(row_ids), len(col_ids)))
-    dense[row_pos, col_pos] = state.p_hat[positive]
-    sel_r, sel_c = linear_sum_assignment(dense, maximize=True)
-    chosen = dense[sel_r, sel_c] > 0.0
-    return Mapping.from_pairs(zip(row_ids[sel_r[chosen]].tolist(),
-                                  col_ids[sel_c[chosen]].tolist()))
+    return max_weight_matching(problem.cand_rows[positive], problem.cand_cols[positive],
+                               state.p_hat[positive])
 
 
 def solve_nap(problem: NapProblem,
@@ -341,67 +267,54 @@ def solve_nap(problem: NapProblem,
     """Run belief propagation, keeping the best mode seen at any iteration.
 
     The empty mapping (objective 0) is the initial incumbent, so the result
-    never has a negative objective.  Stops early when messages change by
+    never has a negative objective.  Step 0 scores the zero-message mode
+    (weights plus optimistic link support, a strong matching on its own),
+    step k the mode after k updates.  Stops early when messages change by
     less than MESSAGE_TOL in max-norm or the mode stays identical for
     convergence_window consecutive iterations.
     """
     config = config or BpConfig()
     started = time.perf_counter()
     state = init_state(problem, config)
+    best, best_objective = Mapping.empty(), 0.0
     trace: List[float] = []
     ops_total = 0
-    stop_reason = "iteration_limit"
-    converged = False
-    previous_mode = None
-    stable = 0
+    stop_reason, converged = "iteration_limit", False
+    previous_mode, stable = None, 0
 
-    iteration_budget = config.max_iterations if problem.n_candidates else 0
-    if iteration_budget:
-        # The zero-message belief (weights plus optimistic link support) is a
-        # strong matching on its own; score it before the first update.
+    steps = config.max_iterations + 1 if problem.n_candidates and config.max_iterations else 0
+    for step in range(steps):
+        if step:
+            bp_iterate(problem, state, config)
+            ops_total += state.ops_last
         mode = estimate_mode(problem, state)
         objective = nap_objective(problem, mode)
         trace.append(objective)
-        if objective > state.best_objective:
-            state.best_objective = objective
-            state.best_mapping = mode
-        previous_mode = mode
-    for _ in range(iteration_budget):
-        bp_iterate(problem, state, config)
-        ops_total += state.ops_last
-        mode = estimate_mode(problem, state)
-        objective = nap_objective(problem, mode)
-        trace.append(objective)
-        if objective > state.best_objective:
-            state.best_objective = objective
-            state.best_mapping = mode
+        if objective > best_objective:
+            best, best_objective = mode, objective
         if state.delta < MESSAGE_TOL:
-            stop_reason = "message_tolerance"
-            converged = True
+            stop_reason, converged = "message_tolerance", True
             break
         if mode == previous_mode:
             stable += 1
             if stable >= config.convergence_window:
-                stop_reason = "mode_stable"
-                converged = True
+                stop_reason, converged = "mode_stable", True
                 break
         else:
-            stable = 0
-            previous_mode = mode
+            stable, previous_mode = 0, mode
 
     if problem.n_candidates == 0:
-        converged = True
-        stop_reason = "empty"
+        converged, stop_reason = True, "empty"
 
     diagnostics = BpDiagnostics(
         iterations=state.iteration,
         converged=converged,
         stop_reason=stop_reason,
-        best_objective=state.best_objective,
+        best_objective=best_objective,
         objective_trace=trace,
         ops_per_iteration=state.ops_last,
         ops_total=ops_total,
         message_memory_bytes=state.message_memory_bytes(),
         seconds=time.perf_counter() - started,
     )
-    return state.best_mapping, diagnostics
+    return best, diagnostics

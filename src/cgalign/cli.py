@@ -166,7 +166,8 @@ def _solve(args, sim, a: CallGraph, b: CallGraph):
     problem = nap.build_problem(sim, a, b, alpha=args.alpha,
                                 d_node=args.d_node, d_edge=args.d_edge)
     if args.matcher == "mwm":
-        mapping = matchers.solve_mwm(matchers.node_weight_map(problem))
+        mapping = matchers.max_weight_matching(problem.cand_rows, problem.cand_cols,
+                                               problem.node_weights)
         iterations, converged = 0, True
     elif args.matcher == "mcs":
         mapping = matchers.solve_mcs_greedy(problem, a, b, k=args.k)

@@ -1,5 +1,6 @@
-"""Baseline matchers: exact linear matching, greedy structural matching,
-and exhaustive search for tiny instances.
+"""The exact matching kernel, which also rounds BP beliefs, and the baseline
+matchers: exact linear matching, greedy structural matching, and
+exhaustive search for tiny instances.
 """
 
 from __future__ import annotations
@@ -18,31 +19,38 @@ from .nap import Mapping, NapProblem
 BRUTE_FORCE_LIMIT = 10_000_000  # refuse to enumerate more mappings than this
 
 
-def solve_mwm(weights: Dict[Tuple[int, int], float]) -> Mapping:
-    """Exact maximum-weight bipartite matching over a sparse weight map.
+def max_weight_matching(rows: np.ndarray, cols: np.ndarray, w: np.ndarray) -> Mapping:
+    """Exact maximum-weight matching over the pairs (rows[t], cols[t]) of weight w[t].
 
-    Pairs with non-positive weight are never matched; rows or columns whose
-    available weights are all non-positive stay unmatched.
+    Pairs with non-positive weight are never matched.  The assignment runs
+    on a dense matrix over the distinct rows and columns given, with weights
+    clamped at 0, so those rows and columns also decide which of several
+    optimal matchings comes out.  When the positive pairs already share no
+    row or column, they are the unique optimum and are returned without an
+    assignment.
     """
-    if not weights:
-        return Mapping.empty()
-    items = sorted(weights.items())
-    rows = sorted({i for (i, _), _ in items})
-    cols = sorted({j for (_, j), _ in items})
-    row_pos = {i: k for k, i in enumerate(rows)}
-    col_pos = {j: k for k, j in enumerate(cols)}
-    dense = np.zeros((len(rows), len(cols)))
-    for (i, j), w in items:
-        # clamp: taking a non-positive pair is never better than skipping it,
-        # and a negative cell could otherwise force a worse assignment
-        dense[row_pos[i], col_pos[j]] = max(w, 0.0)
+    positive = w > 0.0
+    pos_rows, pos_cols = rows[positive], cols[positive]
+    if (len(np.unique(pos_rows)) == len(pos_rows)
+            and len(np.unique(pos_cols)) == len(pos_cols)):
+        return Mapping.from_pairs(zip(pos_rows.tolist(), pos_cols.tolist()))
+    row_ids, row_pos = np.unique(rows, return_inverse=True)
+    col_ids, col_pos = np.unique(cols, return_inverse=True)
+    dense = np.zeros((len(row_ids), len(col_ids)))
+    # clamp: taking a non-positive pair is never better than skipping it,
+    # and a negative cell could otherwise force a worse assignment
+    dense[row_pos, col_pos] = np.maximum(w, 0.0)
     sel_r, sel_c = linear_sum_assignment(dense, maximize=True)
-    pairs = []
-    for r, c in zip(sel_r.tolist(), sel_c.tolist()):
-        pair = (rows[r], cols[c])
-        if weights.get(pair, 0.0) > 0.0:
-            pairs.append(pair)
-    return Mapping.from_pairs(pairs)
+    chosen = dense[sel_r, sel_c] > 0.0
+    return Mapping.from_pairs(zip(row_ids[sel_r[chosen]].tolist(),
+                                  col_ids[sel_c[chosen]].tolist()))
+
+
+def solve_mwm(weights: Dict[Tuple[int, int], float]) -> Mapping:
+    """max_weight_matching over a sparse {(i, j): weight} map."""
+    pairs = np.array(list(weights), dtype=np.int64).reshape(-1, 2)
+    return max_weight_matching(pairs[:, 0], pairs[:, 1],
+                               np.fromiter(weights.values(), float, len(weights)))
 
 
 def node_weight_map(problem: NapProblem) -> Dict[Tuple[int, int], float]:
@@ -90,15 +98,21 @@ def solve_mcs_greedy(problem: NapProblem, a: CallGraph, b: CallGraph,
     deg_a = np.array([len(x) for x in adj_a], dtype=np.int64)
     deg_b = np.array([len(x) for x in adj_b], dtype=np.int64)
     eligible = (w > 0.0) & (deg_a[rows] > 0) & (deg_b[cols] > 0)
-    seed_order = np.lexsort((cols, rows, -w))
-    seeds = seed_order[eligible[seed_order]]
+    # the greedy order: heavier first, then the smaller (row, col); the
+    # frontier heap holds ranks in it, so it pops the same pair as a heap
+    # of (-weight, row, col) would
+    order = np.lexsort((cols, rows, -w))
+    rank = np.empty(len(order), dtype=np.int64)
+    rank[order] = np.arange(len(order))
+    order_rows, order_cols = rows[order].tolist(), cols[order].tolist()
 
     row_taken = [False] * problem.n_a  # lists: the loops below read single flags
     col_taken = [False] * problem.n_b
+    queued = np.zeros(problem.n_candidates, dtype=bool)
     matched: List[Tuple[int, int]] = []
     hood_a: Dict[int, List[int]] = {}
     hood_b: Dict[int, List[int]] = {}
-    frontier: List[Tuple[float, int, int]] = []
+    frontier: List[int] = []
 
     def take(i: int, j: int):
         row_taken[i] = True
@@ -112,28 +126,34 @@ def solve_mcs_greedy(problem: NapProblem, a: CallGraph, b: CallGraph,
         vs = [v for v in hood_b[j] if not col_taken[v]]
         if not us or not vs:
             return
-        block = problem.index[np.ix_(us, vs)]
-        hit = block >= 0
-        hit[hit] = w[block[hit]] > 0.0
-        at_u, at_v = np.nonzero(hit)  # row-major, so pushed in (u, v) order
-        for x, y, wc in zip(at_u.tolist(), at_v.tolist(),
-                            w[block[at_u, at_v]].tolist()):
-            heapq.heappush(frontier, (-wc, us[x], vs[y]))
+        cands = problem.index[np.ix_(us, vs)].ravel()
+        cands = cands[cands >= 0]
+        # a candidate leaves the heap only once its row or column is taken,
+        # so pushing it again could only add a stale copy
+        cands = cands[(w[cands] > 0.0) & ~queued[cands]]
+        queued[cands] = True
+        for r in rank[cands].tolist():
+            heapq.heappush(frontier, r)
 
-    for i, j in zip(rows[seeds].tolist(), cols[seeds].tolist()):
+    for seed in np.flatnonzero(eligible[order]).tolist():
+        i, j = order_rows[seed], order_cols[seed]
         if row_taken[i] or col_taken[j]:
             continue
         take(i, j)
         while frontier:
-            _, u, v = heapq.heappop(frontier)
+            r = heapq.heappop(frontier)
+            u, v = order_rows[r], order_cols[r]
             if row_taken[u] or col_taken[v]:
+                # the takes since the last sweep left this entry stale, and
+                # usually many more with it: drop them all in one pass
+                frontier[:] = [q for q in frontier
+                               if not (row_taken[order_rows[q]] or col_taken[order_cols[q]])]
+                heapq.heapify(frontier)
                 continue
             take(u, v)
 
     free = (w > 0.0) & ~np.array(row_taken)[rows] & ~np.array(col_taken)[cols]
-    leftovers = dict(zip(zip(rows[free].tolist(), cols[free].tolist()), w[free].tolist()))
-    if leftovers:
-        matched.extend(solve_mwm(leftovers).pairs)
+    matched.extend(max_weight_matching(rows[free], cols[free], w[free]).pairs)
     return Mapping.from_pairs(matched)
 
 

@@ -180,11 +180,6 @@ def candidate_indices(problem: NapProblem, mapping: Mapping) -> np.ndarray:
     return pos
 
 
-def mapping_from_candidates(problem: NapProblem, cand_idx: np.ndarray) -> Mapping:
-    return Mapping.from_pairs(zip(problem.cand_rows[cand_idx].tolist(),
-                                  problem.cand_cols[cand_idx].tolist()))
-
-
 def _gain_parts(problem: NapProblem, mapping: Mapping) -> Tuple[float, float, int]:
     """(node weight sum, square weight sum, realized square count)."""
     midx = candidate_indices(problem, mapping)

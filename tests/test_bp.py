@@ -42,6 +42,24 @@ def test_initial_state_is_zero_messages():
     assert np.allclose(st.p_hat, p.alpha * p.node_weights + support)
 
 
+def test_state_refuses_another_problem_or_config():
+    edges = dict(edges_a=[(0, 1)], edges_b=[(0, 1)])
+    p = problem_of([[0.9, 0.2], [0.2, 0.8]], alpha=0.75, **edges)
+    other = problem_of([[0.9, 0.2], [0.2, 0.8]], alpha=0.2, **edges)
+    st = init_state(p, BpConfig())
+    with pytest.raises(ValueError, match="another problem"):
+        bp_iterate(other, st)
+    with pytest.raises(ValueError, match="another problem"):
+        estimate_mode(other, st)
+    for config in (BpConfig(threads=4), BpConfig(epsilon=0.2), BpConfig(damping=0.5)):
+        with pytest.raises(ValueError, match="another config"):
+            bp_iterate(p, st, config)
+    assert st.iteration == 0 and np.all(st.f == 0.0)  # refused calls change nothing
+    bp_iterate(p, st)  # no config: the state's own
+    bp_iterate(p, st, BpConfig())  # an equal config is the same config
+    assert st.iteration == 2
+
+
 def test_single_candidate_converges_in_one_iteration():
     p = problem_of([[0.6]], alpha=1.0)
     cfg = BpConfig(epsilon=0.0)
@@ -77,9 +95,7 @@ def test_square_instance_reaches_brute_force_value():
 
 def with_belief(p, belief):
     st = init_state(p, BpConfig())
-    zeros = np.zeros(p.n_candidates)
-    st._cache = (zeros, zeros, zeros, zeros, zeros, None, None,
-                 np.asarray(belief, dtype=float), 0)
+    st.p_hat = np.asarray(belief, dtype=float)
     return st
 
 

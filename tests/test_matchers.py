@@ -4,12 +4,14 @@ import heapq
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 from cgalign import (BpConfig, Mapping, MutationSpec, SearchSpaceError,
-                     brute_force_optimum, build_problem, generate_graph, mutate,
-                     nap_objective, node_weight_map, solve_mcs_greedy, solve_mwm,
-                     solve_nap)
+                     brute_force_optimum, build_problem, generate_graph,
+                     max_weight_matching, mutate, nap_objective, node_weight_map,
+                     solve_mcs_greedy, solve_mwm, solve_nap)
 from cgalign import SimilarityConfig, build_similarity_matrix
+from cgalign import matchers
 from cgalign.matchers import _k_hop
 
 from conftest import dense_sim, make_graph
@@ -34,6 +36,62 @@ def exhaustive_mwm(weights):
 
     rec(0, frozenset(), frozenset(), 0.0)
     return best[0]
+
+
+def reference_mwm(weights):
+    """The dict-based matcher: one dense assignment over every row and column given."""
+    if not weights:
+        return Mapping.empty()
+    items = sorted(weights.items())
+    rows = sorted({i for (i, _), _ in items})
+    cols = sorted({j for (_, j), _ in items})
+    row_pos = {i: k for k, i in enumerate(rows)}
+    col_pos = {j: k for k, j in enumerate(cols)}
+    dense = np.zeros((len(rows), len(cols)))
+    for (i, j), w in items:
+        dense[row_pos[i], col_pos[j]] = max(w, 0.0)
+    sel_r, sel_c = linear_sum_assignment(dense, maximize=True)
+    pairs = []
+    for r, c in zip(sel_r.tolist(), sel_c.tolist()):
+        pair = (rows[r], cols[c])
+        if weights.get(pair, 0.0) > 0.0:
+            pairs.append(pair)
+    return Mapping.from_pairs(pairs)
+
+
+def test_kernel_matches_reference_on_tie_heavy_instances():
+    # few distinct weights, many repeats, zero and negative cells: ties between
+    # optimal matchings are the rule, and each must break as the reference does
+    rng = np.random.default_rng(61)
+    levels = np.array([-1.0, -0.5, 0.0, 0.0, 0.5, 0.5, 1.0, 1.0, 1.0])
+    fast = 0
+    for _ in range(2500):
+        n_r, n_c = int(rng.integers(1, 7)), int(rng.integers(1, 7))
+        cells = np.flatnonzero(rng.random(n_r * n_c) < rng.uniform(0.2, 1.0))
+        rng.shuffle(cells)
+        rows, cols = np.divmod(cells.astype(np.int64), n_c)
+        w = rng.choice(levels, size=len(cells))
+        weights = dict(zip(zip(rows.tolist(), cols.tolist()), w.tolist()))
+        expected = reference_mwm(weights)
+        assert max_weight_matching(rows, cols, w) == expected
+        assert solve_mwm(weights) == expected
+        positive = w > 0.0
+        fast += (len(set(rows[positive])) == positive.sum()
+                 and len(set(cols[positive])) == positive.sum())
+    assert fast >= 250  # the one-to-one shortcut was compared too, not only the assignment
+
+
+def test_kernel_skips_the_assignment_when_positive_pairs_are_one_to_one(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("linear_sum_assignment called")
+
+    monkeypatch.setattr(matchers, "linear_sum_assignment", refuse)
+    rows = np.array([0, 0, 1, 2, 2, 3], dtype=np.int64)
+    cols = np.array([0, 1, 1, 2, 0, 3], dtype=np.int64)
+    w = np.array([0.7, -0.2, 0.4, 0.0, -1.0, 0.9])
+    assert max_weight_matching(rows, cols, w).sorted_pairs() == [(0, 0), (1, 1), (3, 3)]
+    assert max_weight_matching(rows[:0], cols[:0], w[:0]) == Mapping.empty()
+    assert solve_mwm({(4, 2): 0.5, (4, 3): -0.5}).sorted_pairs() == [(4, 2)]
 
 
 def test_mwm_simple_instance():

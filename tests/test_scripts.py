@@ -1,0 +1,27 @@
+"""Smoke runs of the experiment scripts at small sizes."""
+
+import importlib.util
+import os
+
+import pytest
+
+SCRIPTS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scripts")
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name, os.path.join(SCRIPTS, name + ".py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("name, argv, rows", [
+    ("scaling_study", ["--sizes", "16,26"], 2),
+    ("sparsity_tradeoff", ["--n", "30", "--timing-iters", "2", "--ratios", "0,0.5"], 2),
+    ("mutation_benchmark", ["--n", "20", "--seeds", "2", "--levels", "0,0.2"], 2),
+])
+def test_script_runs_at_small_size(name, argv, rows, capsys):
+    assert load_script(name).main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    # a header, one line per size, ratio or level, and for the scaling study its fit
+    assert len(lines) == 1 + rows + (name == "scaling_study")
