@@ -83,6 +83,12 @@ class BpState:
                       if config.threads > 1 else None)
         _beliefs(self)  # sets p_hat and the terms of the next update
 
+    def close(self):
+        """Stop the worker threads; later updates of this state run on one thread."""
+        if self._pool is not None:
+            self._pool.shutdown()
+            self._pool = None
+
     def message_memory_bytes(self) -> int:
         return self.f.nbytes + self.g.nbytes + self.h_uv.nbytes + self.h_vu.nbytes
 
@@ -283,25 +289,28 @@ def solve_nap(problem: NapProblem,
     previous_mode, stable = None, 0
 
     steps = config.max_iterations + 1 if problem.n_candidates and config.max_iterations else 0
-    for step in range(steps):
-        if step:
-            bp_iterate(problem, state, config)
-            ops_total += state.ops_last
-        mode = estimate_mode(problem, state)
-        objective = nap_objective(problem, mode)
-        trace.append(objective)
-        if objective > best_objective:
-            best, best_objective = mode, objective
-        if state.delta < MESSAGE_TOL:
-            stop_reason, converged = "message_tolerance", True
-            break
-        if mode == previous_mode:
-            stable += 1
-            if stable >= config.convergence_window:
-                stop_reason, converged = "mode_stable", True
+    try:
+        for step in range(steps):
+            if step:
+                bp_iterate(problem, state, config)
+                ops_total += state.ops_last
+            mode = estimate_mode(problem, state)
+            objective = nap_objective(problem, mode)
+            trace.append(objective)
+            if objective > best_objective:
+                best, best_objective = mode, objective
+            if state.delta < MESSAGE_TOL:
+                stop_reason, converged = "message_tolerance", True
                 break
-        else:
-            stable, previous_mode = 0, mode
+            if mode == previous_mode:
+                stable += 1
+                if stable >= config.convergence_window:
+                    stop_reason, converged = "mode_stable", True
+                    break
+            else:
+                stable, previous_mode = 0, mode
+    finally:
+        state.close()
 
     if problem.n_candidates == 0:
         converged, stop_reason = True, "empty"

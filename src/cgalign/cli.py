@@ -18,7 +18,7 @@ from typing import List, Optional, Tuple
 
 from . import bp, evaluation, matchers, nap, similarity, synthetic
 from .errors import DataError
-from .graphs import CallGraph, load_call_graph, save_call_graph, validate_pair
+from .graphs import CallGraph, load_call_graph, read_json, save_call_graph, validate_pair
 
 GED_AGREEMENT_TOL = 1e-9
 
@@ -43,10 +43,11 @@ def _ranged(kind, low, high=math.inf, open_high=False):
     def parse(text: str):
         try:
             value = kind(text)
-        except ValueError:
-            value = math.nan
-        if not (math.isfinite(value) and low <= value
-                and (value < high if open_high else value <= high)):
+            inside = (math.isfinite(value) and low <= value
+                      and (value < high if open_high else value <= high))
+        except (ValueError, OverflowError):  # an int too large for a float overflows
+            inside = False
+        if not inside:
             raise argparse.ArgumentTypeError("%r is not %s" % (text, span))
         return value
     return parse
@@ -102,10 +103,10 @@ def build_parser() -> argparse.ArgumentParser:
     ged.set_defaults(func=cmd_ged)
 
     gen = commands.add_parser("generate", help="emit synthetic graphs with truth")
-    gen.add_argument("--n", type=int, required=True)
-    gen.add_argument("--density", type=float, default=0.1)
-    gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--templates", type=int, default=None,
+    gen.add_argument("--n", type=_ranged(int, 0), required=True)
+    gen.add_argument("--density", type=_ranged(float, 0, 1), default=0.1)
+    gen.add_argument("--seed", type=_ranged(int, 0), default=0)
+    gen.add_argument("--templates", type=_ranged(int, 1), default=None,
                      help="size of the feature template pool (default n // 4)")
     gen.add_argument("--out", required=True, help="path for the base graph")
     gen.add_argument("--mutate",
@@ -118,13 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load_report(path: str) -> List[Tuple]:
     """The (key_a, key_b) pairs of a mapping report; each key an int or a str."""
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            doc = json.load(handle)
-    except FileNotFoundError:
-        raise DataError("no such file: %s" % path)
-    except json.JSONDecodeError as exc:
-        raise DataError("%s: not valid JSON (%s)" % (path, exc))
+    doc = read_json(path)
     if not isinstance(doc, dict) or not isinstance(doc.get("matched"), list):
         raise DataError("%s: not a mapping report (missing 'matched')" % path)
     pairs = []

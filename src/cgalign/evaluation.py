@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence, Set, Tuple, Union
 
 from .errors import CompositionError, FormatError
-from .graphs import CallGraph
+from .graphs import CallGraph, read_json
 from .nap import Mapping
 
 FORMAT_VERSION = 1
@@ -69,14 +69,7 @@ def parse_ground_truth(doc: dict, source: str = "<memory>") -> GroundTruth:
 
 
 def load_ground_truth(path: str) -> GroundTruth:
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            doc = json.load(handle)
-    except FileNotFoundError:
-        raise FormatError("no such file: %s" % path)
-    except json.JSONDecodeError as exc:
-        raise FormatError("%s: not valid JSON (%s)" % (path, exc))
-    return parse_ground_truth(doc, source=path)
+    return parse_ground_truth(read_json(path), source=path)
 
 
 def save_ground_truth(truth: GroundTruth, path: str):

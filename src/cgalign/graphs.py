@@ -237,16 +237,24 @@ def parse_call_graph(doc: dict, source: str = "<memory>") -> CallGraph:
                      duplicate_calls=duplicates)
 
 
-def load_call_graph(path: str) -> CallGraph:
-    """Read a call graph from a JSON exchange file."""
+def read_json(path: str):
+    """Decode a UTF-8 JSON file; a file that cannot be read or decoded is a FormatError."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            doc = json.load(handle)
+            return json.load(handle)
     except FileNotFoundError:
         raise FormatError("no such file: %s" % path)
+    except OSError as exc:
+        raise FormatError("cannot read %s: %s" % (path, exc.strerror or exc))
+    except UnicodeDecodeError as exc:
+        raise FormatError("%s: not UTF-8 text (%s)" % (path, exc))
     except json.JSONDecodeError as exc:
         raise FormatError("%s: not valid JSON (%s)" % (path, exc))
-    return parse_call_graph(doc, source=path)
+
+
+def load_call_graph(path: str) -> CallGraph:
+    """Read a call graph from a JSON exchange file."""
+    return parse_call_graph(read_json(path), source=path)
 
 
 def serialize_call_graph(graph: CallGraph) -> dict:

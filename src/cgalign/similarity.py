@@ -7,6 +7,11 @@ evenly among its components.  A tiny bonus for functions at similar
 positions in their program's address order breaks ties between otherwise
 identical functions, and a global sparsity ratio prunes the lowest-scoring
 pairs to keep downstream solvers sparse.
+
+All n_a x n_b scores are computed in row blocks of at most BLOCK elements
+through two scratch buffers reused for every block, so the kernel's scratch
+memory does not grow with n_a.  This relies on the features being finite
+and non-negative, which CallGraph validates and canberra_similarity checks.
 """
 
 from __future__ import annotations
@@ -17,6 +22,10 @@ from typing import Optional
 import numpy as np
 
 from .graphs import CallGraph, FeatureVector, feature_group_sizes, validate_pair
+
+# elements per scratch buffer of the similarity kernel (512 KiB of float64):
+# each row block of the score matrix is computed in two such buffers
+BLOCK = 65_536
 
 
 @dataclass(frozen=True)
@@ -47,31 +56,40 @@ def feature_weights(n_classes: int, config: SimilarityConfig) -> np.ndarray:
     return np.concatenate(parts)
 
 
-def _weighted_canberra(fa: np.ndarray, fb: np.ndarray, weights: np.ndarray) -> np.ndarray:
+def _weighted_canberra(fa: np.ndarray, fb: np.ndarray, weights: np.ndarray,
+                       num: np.ndarray, den: np.ndarray) -> np.ndarray:
     """Distance between every row of fa and every row of fb; shape (len(fa), len(fb)).
 
     Per-feature terms are |x - y| / (x + y) with 0/0 counted as 0, averaged
-    under the per-feature weights.  Inputs are non-negative so the Canberra
-    denominator is just the sum.
+    under the per-feature weights.  The terms are computed in place in the
+    caller's buffers `num` and `den`, both of shape (len(fa), len(fb), F).
+    Inputs must be non-negative: the Canberra denominator is then just the
+    sum, and where it is zero the numerator is zero too, so the terms the
+    division skips already hold 0.
     """
-    diff = np.abs(fa[:, None, :] - fb[None, :, :])
-    denom = fa[:, None, :] + fb[None, :, :]
-    terms = np.divide(diff, denom, out=np.zeros_like(diff), where=denom > 0)
-    return terms @ weights / weights.sum()
+    np.subtract(fa[:, None, :], fb[None, :, :], out=num)
+    np.abs(num, out=num)
+    np.add(fa[:, None, :], fb[None, :, :], out=den)
+    np.divide(num, den, out=num, where=den > 0)
+    return num @ weights / weights.sum()
 
 
 def canberra_similarity(fa: FeatureVector, fb: FeatureVector,
                         config: Optional[SimilarityConfig] = None) -> float:
-    """Similarity in [0, 1] between two feature vectors of the same layout."""
+    """Similarity in [0, 1] between two feature vectors of the same layout.
+
+    Features must be finite and non-negative, as in a CallGraph.
+    """
     config = config or SimilarityConfig()
-    va, vb = fa.concat(), fb.concat()
     if (len(fa.content), len(fa.topology), len(fa.neighborhood)) != (
             len(fb.content), len(fb.topology), len(fb.neighborhood)):
         raise ValueError("feature vectors have different layouts")
+    pair = np.asarray((fa.concat(), fb.concat()), dtype=np.float64)
+    if not np.all(np.isfinite(pair) & (pair >= 0)):
+        raise ValueError("features must be finite and non-negative")
     weights = feature_weights(len(fa.content) - 2, config)
-    a = np.asarray(va, dtype=np.float64).reshape(1, -1)
-    b = np.asarray(vb, dtype=np.float64).reshape(1, -1)
-    return float(1.0 - _weighted_canberra(a, b, weights)[0, 0])
+    num, den = np.empty((2, 1, 1, pair.shape[1]))
+    return float(1.0 - _weighted_canberra(pair[:1], pair[1:], weights, num, den)[0, 0])
 
 
 @dataclass
@@ -130,9 +148,12 @@ def build_similarity_matrix(a: CallGraph, b: CallGraph,
                             config: Optional[SimilarityConfig] = None) -> SimilarityMatrix:
     """Score all function pairs of two comparable graphs, then prune globally.
 
-    Pruning removes the floor(sparsity_ratio * n_a * n_b) lowest-scoring
-    pairs; score ties are broken by lexicographic (row, col) order so the
-    result is deterministic.
+    Scores are computed max(1, BLOCK // (n_b * F)) rows at a time in two
+    scratch buffers allocated once per call, so the kernel's scratch memory
+    does not grow with n_a; the graphs' validated non-negative features make
+    the in-place division exact.  Pruning removes the
+    floor(sparsity_ratio * n_a * n_b) lowest-scoring pairs; score ties are
+    broken by lexicographic (row, col) order so the result is deterministic.
     """
     config = config or SimilarityConfig()
     validate_pair(a, b)
@@ -149,10 +170,12 @@ def build_similarity_matrix(a: CallGraph, b: CallGraph,
     span = max(n_a, n_b)
 
     scores = np.empty((n_a, n_b), dtype=np.float64)
-    chunk = max(1, int(4_000_000 // (n_b * fa.shape[1] + 1)))
-    for start in range(0, n_a, chunk):
-        stop = min(start + chunk, n_a)
-        sim = 1.0 - _weighted_canberra(fa[start:stop], fb, weights)
+    block = max(1, BLOCK // (n_b * fa.shape[1]))
+    num, den = np.empty((2, min(block, n_a), n_b, fa.shape[1]))
+    for start in range(0, n_a, block):
+        stop = min(start + block, n_a)
+        sim = 1.0 - _weighted_canberra(fa[start:stop], fb, weights,
+                                       num[:stop - start], den[:stop - start])
         if config.perturbation_scale > 0:
             bonus = 1.0 - np.abs(order_a[start:stop, None] - order_b[None, :]) / span
             sim = sim + config.perturbation_scale * bonus

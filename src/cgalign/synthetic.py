@@ -93,7 +93,9 @@ def generate_graph(n: int, edge_density: float = 0.1, seed: int = 0,
     rng = np.random.default_rng(seed)
     if templates is None:
         templates = max(1, n // 4)
-    base = _draw_features(rng, max(templates, 1), len(classes))
+    if templates < 1:
+        raise ValueError("templates must be at least 1")
+    base = _draw_features(rng, templates, len(classes))
 
     content_topo = []
     for i in range(n):

@@ -1,8 +1,11 @@
 """Max-product message passing solver."""
 
+import threading
+
 import numpy as np
 import pytest
 
+from cgalign import bp
 from cgalign import (BpConfig, Mapping, bp_iterate, brute_force_optimum,
                      build_problem, estimate_mode, generate_graph, init_state,
                      nap_objective, node_weight_map, solve_mwm, solve_nap)
@@ -194,6 +197,24 @@ def test_threaded_run_is_bit_identical():
     m1, _ = solve_nap(p, BpConfig(threads=1))
     m4, _ = solve_nap(p, BpConfig(threads=4))
     assert m1 == m4
+
+
+def test_solve_stops_its_worker_threads(monkeypatch):
+    g = generate_graph(60, edge_density=0.05, seed=51, name="A")
+    p = build_problem(build_similarity_matrix(g, g, SimilarityConfig()), g, g)
+    config = BpConfig(threads=4, max_iterations=5)
+    before = set(threading.enumerate())
+    for _ in range(2):
+        solve_nap(p, config)
+        assert set(threading.enumerate()) <= before
+
+    def fail(*args):
+        raise RuntimeError("scoring failed")
+
+    monkeypatch.setattr(bp, "nap_objective", fail)
+    with pytest.raises(RuntimeError, match="scoring failed"):
+        solve_nap(p, config)
+    assert set(threading.enumerate()) <= before
 
 
 def test_damping_still_converges_to_same_fixed_point():

@@ -77,6 +77,39 @@ def test_diff_missing_file_names_the_path(tmp_path, capsys):
     assert "nowhere.json" in err
 
 
+UNREADABLE_INPUTS = [("diff", "graph", "directory"), ("ged", "report", "directory"),
+                     ("diff", "graph", "latin-1"), ("eval", "report", "latin-1"),
+                     ("eval", "truth", "latin-1")]
+
+
+@pytest.mark.parametrize("command, role, kind", UNREADABLE_INPUTS,
+                         ids=["-".join(case) for case in UNREADABLE_INPUTS])
+def test_unreadable_input_file_is_a_one_line_data_error(tmp_path, capsys,
+                                                        command, role, kind):
+    graph = synthetic.generate_graph(3, seed=4)
+    path_a, path_b = write_graph_pair(tmp_path, graph, graph)
+    report_path = str(tmp_path / "report.json")
+    with open(report_path, "w") as handle:
+        json.dump({"matched": [["fn0000", "fn0000", 1.0]]}, handle)
+    truth_path = str(tmp_path / "truth.json")
+    evaluation.save_ground_truth(
+        evaluation.GroundTruth.from_pairs([("fn0000", "fn0000")]), truth_path)
+    bad = tmp_path / "bad.json"
+    if kind == "directory":
+        bad.mkdir()
+    else:
+        bad.write_bytes('{"name": "caf\u00e9"}'.encode("latin-1"))
+    paths = {"graph": path_a, "report": report_path, "truth": truth_path}
+    paths[role] = str(bad)
+    argv = {"diff": ["diff", paths["graph"], path_b],
+            "ged": ["ged", path_a, path_b, paths["report"]],
+            "eval": ["eval", paths["report"], paths["truth"]]}[command]
+    rc, _, err = run(capsys, argv)
+    assert rc == 2
+    assert err.startswith("error: ") and str(bad) in err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
 def test_diff_writes_report_file(tmp_path, capsys):
     graph = synthetic.generate_graph(5, edge_density=0.3, seed=2)
     path_a, path_b = write_graph_pair(tmp_path, graph, graph)
@@ -301,7 +334,12 @@ BAD_FLAGS = [
     ("diff", ["--max-iters", "-1"]), ("diff", ["--damping", "1"]),
     ("diff", ["--d-node", "-1"]), ("diff", ["--d-node", "inf"]),
     ("diff", ["--d-edge", "-0.5"]), ("diff", ["--matcher", "mcs", "--k", "0"]),
+    ("diff", ["--max-iters", "9" * 400]),
     ("ged", ["--sparsity", "2"]), ("ged", ["--d-node", "-1"]),
+    ("generate", ["--n", "-3"]), ("generate", ["--n", "4", "--density", "5"]),
+    ("generate", ["--n", "4", "--templates", "0"]),
+    ("generate", ["--n", "4", "--templates", "-1"]),
+    ("generate", ["--n", "4", "--seed", "-1"]),
 ]
 
 
@@ -313,11 +351,14 @@ def test_out_of_range_flag_is_a_one_line_usage_error(tmp_path, capsys, command, 
     report_path = str(tmp_path / "report.json")
     with open(report_path, "w") as handle:
         json.dump({"matched": [[0, 0]]}, handle)
-    paths = [path_a, path_b] + ([report_path] if command == "ged" else [])
+    out_path = tmp_path / "generated.json"
+    paths = {"diff": [path_a, path_b], "ged": [path_a, path_b, report_path],
+             "generate": ["--out", str(out_path)]}[command]
     rc, _, err = run(capsys, [command] + paths + flags)
     assert rc == 1
     assert len(err.splitlines()) == 1 and "Traceback" not in err
     assert flags[-2] in err
+    assert not out_path.exists()
 
 
 @pytest.mark.parametrize("key", [["x"], {"x": 1}, True, 1.0, None])

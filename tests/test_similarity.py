@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cgalign import (SimilarityConfig, SimilarityMatrix, build_similarity_matrix,
-                     canberra_similarity, generate_graph)
-from cgalign.similarity import feature_weights, prune_lowest
+from cgalign import (CallGraph, FeatureVector, FunctionNode, SimilarityConfig,
+                     SimilarityMatrix, build_similarity_matrix, canberra_similarity,
+                     generate_graph)
+from cgalign.graphs import feature_group_sizes
+from cgalign.similarity import BLOCK, _weighted_canberra, feature_weights, prune_lowest
 
 from conftest import make_features, make_graph
 
@@ -36,6 +38,15 @@ def test_single_group_golden_value():
                     neighborhood=base.neighborhood)
     expected = 1.0 - (1.0 / 3.0) * (2.0 / 4.0)
     assert canberra_similarity(fa, fb, cfg) == pytest.approx(expected, abs=1e-12)
+
+
+@pytest.mark.parametrize("bad", [-1.0, -1e-300, np.nan, np.inf])
+def test_negative_or_non_finite_feature_rejected(bad):
+    good = make_features([1, 0, 2, 0, 0, 3])
+    worse = make_features([1, 0, bad, 0, 0, 3])
+    for fa, fb in ((good, worse), (worse, good)):
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            canberra_similarity(fa, fb)
 
 
 def test_layout_mismatch_rejected():
@@ -210,3 +221,104 @@ def test_pruning_with_tied_scores_keeps_highest_indices(ratio):
     assert np.array_equal(cut.rows, full.rows[keep])
     assert np.array_equal(cut.cols, full.cols[keep])
     assert np.array_equal(cut.scores, full.scores[keep])
+
+
+def reference_kernel(fa, fb, weights):
+    """The weighted Canberra distance with fresh temporaries, as it was before blocking."""
+    diff = np.abs(fa[:, None, :] - fb[None, :, :])
+    denom = fa[:, None, :] + fb[None, :, :]
+    terms = np.divide(diff, denom, out=np.zeros_like(diff), where=denom > 0)
+    return terms @ weights / weights.sum()
+
+
+def reference_scores(a, b, config):
+    """The (n_a, n_b) score matrix as computed in chunks of about 4M elements."""
+    weights = feature_weights(len(a.instruction_classes), config)
+    fa, fb = a.feature_matrix(), b.feature_matrix()
+    order_a, order_b = a.order_array(), b.order_array()
+    span = max(a.n, b.n)
+    scores = np.empty((a.n, b.n), dtype=np.float64)
+    chunk = max(1, int(4_000_000 // (b.n * fa.shape[1] + 1)))
+    for start in range(0, a.n, chunk):
+        stop = min(start + chunk, a.n)
+        sim = 1.0 - reference_kernel(fa[start:stop], fb, weights)
+        if config.perturbation_scale > 0:
+            bonus = 1.0 - np.abs(order_a[start:stop, None] - order_b[None, :]) / span
+            sim = sim + config.perturbation_scale * bonus
+        np.clip(sim, 0.0, 1.0, out=sim)
+        scores[start:stop] = sim
+    return scores
+
+
+def random_features(rng, n, width, zero_rows=()):
+    """Non-negative features with many zeros, some fractional, some all-zero rows."""
+    values = rng.integers(0, 40, (n, width)) * rng.choice([1.0, 0.1, 3.7, 1e5], (n, width))
+    values[rng.random((n, width)) < 0.3] = 0.0
+    values[list(zero_rows)] = 0.0
+    return values
+
+
+def graph_of(rng, values, n_classes, name):
+    """A graph without calls whose functions carry the given feature rows."""
+    content, topology, _ = feature_group_sizes(n_classes)
+    nodes = tuple(
+        FunctionNode(id=i, order_index=int(k), features=FeatureVector(
+            *(tuple(part.tolist()) for part in np.split(row, [content, content + topology]))))
+        for i, (row, k) in enumerate(zip(values, rng.permutation(len(values)))))
+    return CallGraph(name=name, instruction_classes=tuple("c%d" % k for k in range(n_classes)),
+                     nodes=nodes, edges=frozenset())
+
+
+def kernel_shapes():
+    """(n_a, n_b, n_classes): every layout, plus rows wider than one block."""
+    rng = np.random.default_rng(71)
+    shapes = [(int(rng.integers(1, 30)), int(rng.integers(1, 60)), n_classes)
+              for n_classes in range(12) for _ in range(2)]
+    wide = BLOCK // 8 + 1  # one row of 8 features exceeds a block
+    shapes += [(1, wide, 0), (3, wide, 0), (2, BLOCK // 19 + 7, 11),
+               (1, 1, 3), (1, 700, 5)]
+    rows = BLOCK // (100 * 10)  # rows per block at n_b = 100 and F = 10
+    shapes.append((2 * rows + rows // 3, 100, 2))  # ends in a partial block
+    return shapes
+
+
+@pytest.mark.parametrize("shape", kernel_shapes(), ids=str)
+def test_blocked_kernel_matches_reference_bit_for_bit(shape):
+    n_a, n_b, n_classes = shape
+    rng = np.random.default_rng(n_a * 7919 + n_b * 31 + n_classes)
+    width = n_classes + 8
+    a = graph_of(rng, random_features(rng, n_a, width, zero_rows=[0]), n_classes, "A")
+    b = graph_of(rng, random_features(rng, n_b, width, zero_rows=[n_b - 1]), n_classes, "B")
+    group_weights = rng.choice([0.0, 1.0, 7.0, 23.0], 3)
+    group_weights[rng.integers(0, 3)] = 19.0  # never all zero
+    for sparsity in (0.0, 0.5, 0.99):
+        config = SimilarityConfig(*group_weights, sparsity_ratio=sparsity,
+                                  perturbation_scale=float(rng.choice([0.0, 1e-3])))
+        flat = reference_scores(a, b, config).ravel()
+        keep = prune_lowest(flat, int(np.floor(sparsity * n_a * n_b)))
+        rows, cols = np.divmod(keep, n_b)
+        want = SimilarityMatrix(n_a, n_b, rows, cols, flat[keep])
+        got = build_similarity_matrix(a, b, config)
+        assert np.array_equal(got.scores.view(np.int64), want.scores.view(np.int64))
+        assert np.array_equal(got.rows, want.rows)
+        assert np.array_equal(got.cols, want.cols)
+        assert np.array_equal(got.index, want.index)
+
+
+@pytest.mark.parametrize("width", range(1, 20))
+def test_kernel_in_any_row_blocks_matches_reference(width):
+    rng = np.random.default_rng(width)
+    n_a, n_b = 13, int(rng.integers(1, 200))
+    fa = random_features(rng, n_a, width, zero_rows=[3])
+    fb = random_features(rng, n_b, width, zero_rows=[0])
+    weights = rng.choice([0.0, 0.5, 2.875, 4.75], width)
+    weights[0] = 3.5  # never all zero
+    want = reference_kernel(fa, fb, weights)
+    for block in (1, 2, 5, n_a):
+        num, den = np.empty((2, block, n_b, width))
+        got = np.empty((n_a, n_b))
+        for lo in range(0, n_a, block):
+            hi = min(lo + block, n_a)
+            got[lo:hi] = _weighted_canberra(fa[lo:hi], fb, weights,
+                                            num[:hi - lo], den[:hi - lo])
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))

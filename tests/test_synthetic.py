@@ -43,6 +43,9 @@ def test_generator_rejects_bad_arguments():
         generate_graph(-1)
     with pytest.raises(ValueError):
         generate_graph(5, edge_density=1.5)
+    for templates in (0, -1):
+        with pytest.raises(ValueError, match="templates"):
+            generate_graph(5, templates=templates)
 
 
 def test_mutation_spec_validation():
