@@ -14,8 +14,13 @@ by init_state and once by every bp_iterate.  estimate_mode only rounds it:
 the candidates with positive belief, made one-to-one by max_weight_matching.
 
 Row/column maxima excluding the candidate itself are computed per segment
-with a top-2 trick, so one iteration costs O(candidates + links); nothing
-here depends on dict ordering or threading, which keeps runs bit-identical.
+with a top-2 trick, so one iteration costs O(candidates + links).  The link
+half of an update is one pass over blocks of at most LINK_BLOCK links: each
+block gathers its new messages, damps them, takes their largest change and
+clamps the next support inputs through small scratch buffers that stay in
+cache, and writes the results in place into link arrays the state allocates
+once.  Nothing here depends on dict ordering or threading, which keeps runs
+bit-identical.
 """
 
 from __future__ import annotations
@@ -32,6 +37,8 @@ from .nap import Mapping, NapProblem, nap_objective
 
 MESSAGE_TOL = 1e-9  # max-norm change that counts as convergence
 TIE_TOL = 1e-12     # message differences below this are treated as ties
+LINK_BLOCK = 16_384  # links per block: the ~1.3 MB of link arrays a block touches fit in L2
+MIN_CHUNK = 1024     # fewest elements worth a worker thread of their own
 
 
 @dataclass(frozen=True)
@@ -61,6 +68,7 @@ class BpState:
     init_state binds a state to its problem and config for good.  p_hat is
     the belief of the current messages: it is computed with them, together
     with the terms the next update reads, so it never lags behind them.
+    The link arrays are allocated here once and updated in place.
     """
 
     def __init__(self, problem: NapProblem, config: BpConfig):
@@ -75,12 +83,17 @@ class BpState:
         self.delta = float("inf")
         self.ops_last = 0
         self._wn = problem.alpha * problem.node_weights
-        self._wl = (1.0 - problem.alpha) * problem.link_w
+        # support into u and v, clip(wl + h_vu, 0, wl) and clip(wl + h_uv, 0, wl)
+        # for wl = (1 - alpha) * link_w: with zero messages, wl itself
+        self._in_u = (1.0 - problem.alpha) * problem.link_w
+        self._in_v = self._in_u.copy()
         self._starts_r, self._seg_r = _segments(problem.cand_rows)  # row order = storage order
         self._perm_c = np.lexsort((problem.cand_rows, problem.cand_cols))
         self._starts_c, self._seg_c = _segments(problem.cand_cols[self._perm_c])
         self._pool = (ThreadPoolExecutor(max_workers=config.threads)
                       if config.threads > 1 else None)
+        # per link chunk: new h_uv, new h_vu and a temporary, one block each
+        self._scratch = np.empty((_jobs(self, n_link), 3, min(LINK_BLOCK, max(n_link, 1))))
         _beliefs(self)  # sets p_hat and the terms of the next update
 
     def close(self):
@@ -116,17 +129,24 @@ def _segments(sorted_ids: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return np.flatnonzero(boundary), np.cumsum(boundary) - 1
 
 
+def _jobs(state: BpState, n: int) -> int:
+    """Chunks for n elements: at most one per thread, each of at least MIN_CHUNK."""
+    if state._pool is None:
+        return 1
+    return max(1, min(state.config.threads, n // MIN_CHUNK))
+
+
 def _run_chunks(state: BpState, n: int, fn):
-    """Apply fn(lo, hi) over [0, n); chunks write disjoint slices."""
-    if state._pool is None or n < 1024:
-        fn(0, n)
+    """Apply fn(k, lo, hi) to each chunk k = [lo, hi) of [0, n); chunks write disjoint slices."""
+    jobs = _jobs(state, n)
+    if jobs == 1:
+        fn(0, 0, n)
         return
-    threads = state.config.threads
-    bounds = np.linspace(0, n, threads + 1).astype(np.int64)
-    jobs = [state._pool.submit(fn, int(bounds[k]), int(bounds[k + 1]))
-            for k in range(threads)]
-    for job in jobs:
-        job.result()
+    bounds = np.linspace(0, n, jobs + 1).astype(np.int64)
+    futures = [state._pool.submit(fn, k, int(bounds[k]), int(bounds[k + 1]))
+               for k in range(jobs)]
+    for future in futures:
+        future.result()
 
 
 def _segment_stats(values: np.ndarray, starts: np.ndarray,
@@ -148,22 +168,49 @@ def _segment_stats(values: np.ndarray, starts: np.ndarray,
     return full, excl
 
 
-def _support(state: BpState) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Clamped incoming link terms and their per-candidate sums."""
-    problem, wl = state.problem, state._wl
-    n_cand, n_link = problem.n_candidates, len(wl)
-    in_u = np.empty(n_link)
-    in_v = np.empty(n_link)
-    h_uv, h_vu = state.h_uv, state.h_vu
+def _update_links(state: BpState) -> float:
+    """Replace h_uv, h_vu and the support inputs in place; return the largest change of h.
 
-    def fill(lo, hi):
-        np.clip(wl[lo:hi] + h_vu[lo:hi], 0.0, wl[lo:hi], out=in_u[lo:hi])
-        np.clip(wl[lo:hi] + h_uv[lo:hi], 0.0, wl[lo:hi], out=in_v[lo:hi])
+    Each link reads only its own entries and the belief p_hat of the messages
+    being replaced, so blocks and chunks can go in any order.  The arithmetic
+    is the whole-array update's, element by element, so the bits are the same.
+    """
+    problem, p_hat, d = state.problem, state.p_hat, state.config.damping
+    link_u, link_v, link_w = problem.link_u, problem.link_v, problem.link_w
+    scale = 1.0 - problem.alpha
+    h_uv, h_vu, in_u, in_v = state.h_uv, state.h_vu, state._in_u, state._in_v
+    scratch = state._scratch
+    changes = np.zeros(len(scratch))
 
-    _run_chunks(state, n_link, fill)
-    support = (np.bincount(problem.link_u, weights=in_u, minlength=n_cand)
-               + np.bincount(problem.link_v, weights=in_v, minlength=n_cand))
-    return support, in_u, in_v
+    def update(k, lo, hi):
+        new_uv, new_vu, tmp = scratch[k]
+        block, largest = len(tmp), 0.0
+        for s in range(lo, hi, block):
+            e = min(s + block, hi)
+            uv, vu, t = new_uv[:e - s], new_vu[:e - s], tmp[:e - s]
+            # link indices are always in range, and "clip" writes out= unbuffered
+            np.take(p_hat, link_u[s:e], out=uv, mode="clip")
+            uv -= in_u[s:e]
+            np.take(p_hat, link_v[s:e], out=vu, mode="clip")
+            vu -= in_v[s:e]
+            for new, old in ((uv, h_uv[s:e]), (vu, h_vu[s:e])):
+                if d > 0.0:
+                    new *= 1.0 - d
+                    np.multiply(old, d, out=t)
+                    new += t
+                np.subtract(new, old, out=t)
+                np.abs(t, out=t)
+                largest = max(largest, float(t.max()))
+                old[...] = new
+            np.multiply(link_w[s:e], scale, out=t)
+            np.add(t, vu, out=in_u[s:e])
+            np.clip(in_u[s:e], 0.0, t, out=in_u[s:e])
+            np.add(t, uv, out=in_v[s:e])
+            np.clip(in_v[s:e], 0.0, t, out=in_v[s:e])
+        changes[k] = largest
+
+    _run_chunks(state, len(h_uv), update)
+    return float(changes.max())
 
 
 def _beliefs(state: BpState) -> None:
@@ -181,14 +228,16 @@ def _beliefs(state: BpState) -> None:
     gamma = np.where(full_g - g < TIE_TOL, 0.0, epsilon)
     rexf = np.maximum(excl_f, 0.0)
     cexg = np.maximum(excl_g, 0.0)
-    support, state._in_u, state._in_v = _support(state)
+    problem = state.problem
+    support = (np.bincount(problem.link_u, weights=state._in_u, minlength=n_cand)
+               + np.bincount(problem.link_v, weights=state._in_v, minlength=n_cand))
 
     wn = state._wn
     f_next = np.empty(n_cand)
     g_next = np.empty(n_cand)
     p_hat = np.empty(n_cand)
 
-    def fill(lo, hi):
+    def fill(_, lo, hi):
         row_side = wn[lo:hi] - rexf[lo:hi] - phi[lo:hi]
         f_next[lo:hi] = wn[lo:hi] - cexg[lo:hi] - gamma[lo:hi] + support[lo:hi]
         g_next[lo:hi] = row_side + support[lo:hi]
@@ -221,30 +270,15 @@ def bp_iterate(problem: NapProblem, state: BpState,
     n_cand, n_link = problem.n_candidates, len(state.h_uv)
 
     f_new, g_new = state._f_next, state._g_next
-    h_uv_new = np.empty(n_link)
-    h_vu_new = np.empty(n_link)
-    p_hat, in_u, in_v = state.p_hat, state._in_u, state._in_v
-
-    def fill_h(lo, hi):
-        h_uv_new[lo:hi] = p_hat[problem.link_u[lo:hi]] - in_u[lo:hi]
-        h_vu_new[lo:hi] = p_hat[problem.link_v[lo:hi]] - in_v[lo:hi]
-
-    _run_chunks(state, n_link, fill_h)
-
     d = state.config.damping
     if d > 0.0:
         f_new = (1.0 - d) * f_new + d * state.f
         g_new = (1.0 - d) * g_new + d * state.g
-        h_uv_new = (1.0 - d) * h_uv_new + d * state.h_uv
-        h_vu_new = (1.0 - d) * h_vu_new + d * state.h_vu
-
-    pairs = ((f_new, state.f), (g_new, state.g),
-             (h_uv_new, state.h_uv), (h_vu_new, state.h_vu))
-    delta = float(max((np.max(np.abs(new - old)) for new, old in pairs if len(new)),
-                      default=0.0))
-
+    delta = max((float(np.max(np.abs(new - old)))
+                 for new, old in ((f_new, state.f), (g_new, state.g)) if len(new)),
+                default=0.0)
+    delta = max(delta, _update_links(state))  # reads p_hat before _beliefs replaces it
     state.f, state.g = f_new, g_new
-    state.h_uv, state.h_vu = h_uv_new, h_vu_new
     state.iteration += 1
     state.delta = delta
     # modelled work: the belief terms of the messages read (row and column

@@ -21,6 +21,7 @@ from .errors import DataError
 from .graphs import CallGraph, load_call_graph, read_json, save_call_graph, validate_pair
 
 GED_AGREEMENT_TOL = 1e-9
+MAX_THREADS = 64  # fixed cap on diff --threads, so a typo cannot ask for thousands
 
 
 class _Parser(argparse.ArgumentParser):
@@ -80,7 +81,9 @@ def build_parser() -> argparse.ArgumentParser:
     diff.add_argument("--matcher", choices=("nap", "mwm", "mcs"), default="nap")
     diff.add_argument("--k", type=_ranged(int, 1), default=2,
                       help="neighborhood radius for the mcs matcher (default 2)")
-    diff.add_argument("--threads", type=_ranged(int, 1), default=1)
+    diff.add_argument("--threads", type=_ranged(int, 1, MAX_THREADS), default=1,
+                      help="worker threads for belief propagation, 1 to %d (default 1)"
+                      % MAX_THREADS)
     diff.add_argument("--output", help="write the mapping report to this file")
     diff.add_argument("--json", action="store_true",
                       help="print the report as JSON on stdout")

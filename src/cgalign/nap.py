@@ -63,7 +63,7 @@ class NapProblem:
     `index`: the candidate position of each pair (i, j), or -1 if pruned.
     A square is a pair of call edges i->k in A and j->l in B whose endpoint
     pairs (i, j) and (k, l) are both candidates.  Squares are stored only as
-    links: one per unordered candidate pair u < v, in (u, v) order, with the
+    links: one per unordered candidate pair u < v, sorted by (u, v), with the
     number of squares it merges (1 or 2, one per direction).  Every square
     weighs 2*d_edge, so a link weighs its count times that.
     """
@@ -74,9 +74,9 @@ class NapProblem:
     cand_cols: np.ndarray      # int64
     index: np.ndarray          # int64 (n_a, n_b), candidate position or -1
     node_weights: np.ndarray   # float64, s + 2*d_node - 1
-    link_u: np.ndarray         # int64, u < v
+    link_u: np.ndarray         # int64, u < v, sorted
     link_v: np.ndarray         # int64
-    link_count: np.ndarray     # int64, squares merged into each link
+    link_count: np.ndarray     # uint8, squares merged into each link (1 or 2)
     link_w: np.ndarray         # float64, link_count * 2*d_edge
     alpha: float
     d_node: float
@@ -155,7 +155,8 @@ def build_problem(sim: SimilarityMatrix, a: CallGraph, b: CallGraph,
                       cand_cols=sim.cols.astype(np.int64),
                       index=sim.index,
                       node_weights=node_weights.astype(np.float64),
-                      link_u=link_u, link_v=link_v, link_count=link_count,
+                      link_u=link_u, link_v=link_v,
+                      link_count=link_count.astype(np.uint8),
                       link_w=link_count * (2.0 * d_edge),
                       alpha=alpha, d_node=d_node, d_edge=d_edge,
                       edges_a=len(a.edges), edges_b=len(b.edges))
@@ -186,8 +187,12 @@ def _gain_parts(problem: NapProblem, mapping: Mapping) -> Tuple[float, float, in
     node_part = float(problem.node_weights[midx].sum())
     chosen = np.zeros(problem.n_candidates, dtype=bool)
     chosen[midx] = True
-    realized = chosen[problem.link_u] & chosen[problem.link_v]
-    count = int(problem.link_count[realized].sum())
+    # link_u is sorted, so the links leaving each mapped u are one range of it
+    starts = np.searchsorted(problem.link_u, midx, side="left")
+    lengths = np.searchsorted(problem.link_u, midx, side="right") - starts
+    offsets = np.cumsum(lengths) - lengths
+    links = np.arange(int(lengths.sum())) + np.repeat(starts - offsets, lengths)
+    count = int(problem.link_count[links[chosen[problem.link_v[links]]]].sum())
     return node_part, count * (2.0 * problem.d_edge), count
 
 

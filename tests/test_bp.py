@@ -1,6 +1,7 @@
 """Max-product message passing solver."""
 
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -215,6 +216,135 @@ def test_solve_stops_its_worker_threads(monkeypatch):
     with pytest.raises(RuntimeError, match="scoring failed"):
         solve_nap(p, config)
     assert set(threading.enumerate()) <= before
+
+
+def reference_iterate(problem, state):
+    """The whole-array update: every link gathered, damped, diffed and clipped at once.
+
+    Only the link half is kept here; the candidate terms come from the state's
+    own belief step, fed with the clamped inputs computed below.
+    """
+    d = state.config.damping
+    wl = (1.0 - problem.alpha) * problem.link_w
+    f_new, g_new = state._f_next, state._g_next
+    h_uv_new = state.p_hat[problem.link_u] - state._in_u
+    h_vu_new = state.p_hat[problem.link_v] - state._in_v
+    if d > 0.0:
+        f_new = (1.0 - d) * f_new + d * state.f
+        g_new = (1.0 - d) * g_new + d * state.g
+        h_uv_new = (1.0 - d) * h_uv_new + d * state.h_uv
+        h_vu_new = (1.0 - d) * h_vu_new + d * state.h_vu
+    pairs = ((f_new, state.f), (g_new, state.g),
+             (h_uv_new, state.h_uv), (h_vu_new, state.h_vu))
+    state.delta = float(max((np.max(np.abs(new - old)) for new, old in pairs if len(new)),
+                            default=0.0))
+    state.f, state.g, state.h_uv, state.h_vu = f_new, g_new, h_uv_new, h_vu_new
+    state._in_u = np.clip(wl + state.h_vu, 0.0, wl)
+    state._in_v = np.clip(wl + state.h_uv, 0.0, wl)
+    state.iteration += 1
+    bp._beliefs(state)
+
+
+def block_cases():
+    """(label, problem): no links, fewer than one default block, and more."""
+    yield "no links", problem_of([[0.9, 0.3, 0.1], [0.2, 0.7, 0.4]])
+    for n, density, seed in ((20, 0.15, 3), (30, 0.15, 3)):
+        a = generate_graph(n, edge_density=density, seed=seed, name="A")
+        b = generate_graph(n, edge_density=density, seed=seed + 1, name="B")
+        p = build_problem(build_similarity_matrix(a, b, SimilarityConfig()), a, b)
+        yield "%d links" % len(p.link_w), p
+
+
+BLOCK_CASES = list(block_cases())
+
+
+def test_block_cases_cover_the_edges():
+    links = [len(p.link_w) for _, p in BLOCK_CASES]
+    assert links[0] == 0
+    assert 2 * bp.MIN_CHUNK <= links[1] < bp.LINK_BLOCK  # several chunks, one block
+    assert links[2] > bp.LINK_BLOCK
+    assert all(n % bp.LINK_BLOCK and n % 7 for n in links[1:])
+
+
+# one link per block only on the small problems: on the large one it adds
+# nothing that seven per block does not show, at a hundred times the cost
+BLOCKINGS = [(case, block) for case, (_, p) in enumerate(BLOCK_CASES)
+             for block in (1, 7, bp.LINK_BLOCK) if block > 1 or len(p.link_w) < bp.LINK_BLOCK]
+
+
+@pytest.mark.parametrize("threads", [1, 4])
+@pytest.mark.parametrize("damping", [0.0, 0.3])
+@pytest.mark.parametrize("case, block", BLOCKINGS,
+                         ids=["%s-block %d" % (BLOCK_CASES[c][0], b) for c, b in BLOCKINGS])
+def test_blocked_update_matches_whole_array_reference(monkeypatch, case, block, damping,
+                                                      threads):
+    p = BLOCK_CASES[case][1]
+    config = BpConfig(damping=damping, threads=threads)
+    reference = init_state(p, config)
+    monkeypatch.setattr(bp, "LINK_BLOCK", block)
+    blocked = init_state(p, config)
+    try:
+        for _ in range(8):
+            reference_iterate(p, reference)
+            bp_iterate(p, blocked)
+            assert blocked.delta == reference.delta
+        for name in ("f", "g", "h_uv", "h_vu", "p_hat"):
+            assert np.array_equal(getattr(blocked, name).view(np.int64),
+                                  getattr(reference, name).view(np.int64)), name
+    finally:
+        reference.close()
+        blocked.close()
+
+
+def test_chunks_are_never_smaller_than_min_chunk():
+    p = BLOCK_CASES[1][1]  # 400 candidates, 3,484 links
+    st = init_state(p, BpConfig(threads=8))
+    submitted = []
+    submit = st._pool.submit
+
+    def record(fn, k, lo, hi):
+        submitted.append(hi - lo)
+        return submit(fn, k, lo, hi)
+
+    st._pool.submit = record
+    try:
+        bp_iterate(p, st)
+    finally:
+        st.close()
+    # the candidates run on the calling thread, the links in three chunks
+    assert submitted and min(submitted) >= bp.MIN_CHUNK
+    assert len(submitted) == len(p.link_w) // bp.MIN_CHUNK == 3
+
+
+def dense_problem():
+    """Many links per candidate: 2,500 candidates and over 200,000 links."""
+    a = generate_graph(50, edge_density=0.2, seed=3, name="A")
+    b = generate_graph(50, edge_density=0.2, seed=4, name="B")
+    p = build_problem(build_similarity_matrix(a, b, SimilarityConfig()), a, b)
+    assert len(p.link_w) >= 200_000
+    return p
+
+
+def test_iteration_and_scoring_allocate_no_link_length_array():
+    p = dense_problem()
+    link_array = 8 * len(p.link_w)
+    mapping = Mapping.from_pairs((i, i) for i in range(p.n_a))
+    for damping in (0.0, 0.3):
+        config = BpConfig(damping=damping)
+        st = init_state(p, config)
+        bp_iterate(p, st)  # warm-up
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            bp_iterate(p, st)
+            iterate_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            nap_objective(p, mapping)
+            score_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert iterate_peak < link_array
+        assert score_peak < len(p.link_w)  # not even one bool per link
 
 
 def test_damping_still_converges_to_same_fixed_point():

@@ -331,6 +331,7 @@ BAD_FLAGS = [
     ("diff", ["--alpha", "2"]), ("diff", ["--alpha", "nan"]),
     ("diff", ["--sparsity", "1.5"]), ("diff", ["--epsilon", "-1"]),
     ("diff", ["--threads", "0"]), ("diff", ["--threads", "-1"]),
+    ("diff", ["--threads", "65"]), ("diff", ["--threads", "100000"]),
     ("diff", ["--max-iters", "-1"]), ("diff", ["--damping", "1"]),
     ("diff", ["--d-node", "-1"]), ("diff", ["--d-node", "inf"]),
     ("diff", ["--d-edge", "-0.5"]), ("diff", ["--matcher", "mcs", "--k", "0"]),

@@ -259,6 +259,57 @@ def test_objective_mirrors_edit_cost_at_equal_alpha(seed):
     assert cost == pytest.approx(base - 2.0 * nap_objective(p, m), abs=1e-9)
 
 
+def reference_gain_parts(problem, mapping):
+    """(node sum, square count) with both ends of every link gathered."""
+    midx = nap.candidate_indices(problem, mapping)
+    chosen = np.zeros(problem.n_candidates, dtype=bool)
+    chosen[midx] = True
+    realized = chosen[problem.link_u] & chosen[problem.link_v]
+    return float(problem.node_weights[midx].sum()), int(problem.link_count[realized].sum())
+
+
+def retained_mapping(rng, p):
+    """A random one-to-one mapping over the problem's retained candidates."""
+    used_rows, used_cols, pairs = set(), set(), []
+    for c in rng.permutation(p.n_candidates)[:int(rng.integers(0, p.n_candidates + 1))]:
+        i, j = int(p.cand_rows[c]), int(p.cand_cols[c])
+        if i not in used_rows and j not in used_cols:
+            used_rows.add(i)
+            used_cols.add(j)
+            pairs.append((i, j))
+    return Mapping.from_pairs(pairs)
+
+
+@pytest.mark.parametrize("sparsity", [0.0, 0.6])
+@pytest.mark.parametrize("density", [0.0, 0.3])
+def test_scoring_by_link_ranges_matches_all_links_reference(sparsity, density):
+    rng = np.random.default_rng(7)
+    a = generate_graph(24, edge_density=density, seed=51, name="A")
+    b = generate_graph(21, edge_density=density, seed=52, name="B")
+    d_edge = 0.35
+    p = build_problem(build_similarity_matrix(a, b, SimilarityConfig(sparsity_ratio=sparsity)),
+                      a, b, alpha=0.6, d_edge=d_edge)
+    assert (len(p.link_w) > 0) == (density > 0)
+    mappings = [Mapping.empty(), Mapping.from_pairs((i, i) for i in range(21)
+                                                    if p.index[i, i] >= 0)]
+    mappings += [retained_mapping(rng, p) for _ in range(30)]
+    for m in mappings:
+        node_part, count = reference_gain_parts(p, m)
+        assert count_squares(p, m) == count
+        assert nap_objective(p, m) == (p.alpha * node_part
+                                       + (1.0 - p.alpha) * (count * (2.0 * d_edge)))
+    assert max(count_squares(p, m) for m in mappings) > 0 or density == 0
+
+
+def test_link_counts_are_narrow():
+    a = generate_graph(20, edge_density=0.3, seed=41, name="A")
+    p = build_problem(build_similarity_matrix(a, a, SimilarityConfig()), a, a, d_edge=0.0)
+    assert p.link_count.dtype == np.uint8
+    assert set(p.link_count.tolist()) == {1, 2}
+    assert p.link_w.dtype == np.float64 and not p.link_w.any()
+    assert p.n_squares == int(p.link_count.astype(np.int64).sum())
+
+
 @pytest.mark.parametrize("chunk", [1, 7])
 def test_links_do_not_depend_on_join_chunk(monkeypatch, chunk):
     a = generate_graph(20, edge_density=0.3, seed=41, name="A")
