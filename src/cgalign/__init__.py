@@ -11,9 +11,8 @@ from .errors import (CompositionError, DataError, FormatError, GraphMismatchErro
                      MappingError, SearchSpaceError)
 from .evaluation import GroundTruth, ScoreReport, extrapolate, load_ground_truth, \
     mapping_to_keys, save_ground_truth, score
-from .graphs import (CallGraph, FeatureVector, FunctionNode, load_call_graph,
-                     parse_call_graph, save_call_graph, serialize_call_graph,
-                     validate_pair)
+from .graphs import (CallGraph, load_call_graph, parse_call_graph, save_call_graph,
+                     serialize_call_graph, validate_pair)
 from .matchers import (brute_force_optimum, max_weight_matching, node_weight_map,
                        solve_mcs_greedy, solve_mwm)
 from .nap import (Mapping, NapProblem, baseline_cost, build_problem, count_squares,
@@ -26,7 +25,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BpConfig", "BpDiagnostics", "BpState", "CallGraph", "CompositionError",
-    "DataError", "FeatureVector", "FormatError", "FunctionNode", "GraphMismatchError",
+    "DataError", "FormatError", "GraphMismatchError",
     "GroundTruth", "Mapping", "MappingError", "MutationSpec", "NapProblem",
     "ScoreReport", "SearchSpaceError", "SimilarityConfig", "SimilarityMatrix",
     "baseline_cost", "bp_iterate", "brute_force_optimum", "build_problem",

@@ -146,7 +146,7 @@ def _writing(path: str):
 
 
 def _name_index(graph: CallGraph) -> dict:
-    return {node.name: node.id for node in graph.nodes if node.name is not None}
+    return {name: i for i, name in enumerate(graph.names) if name is not None}
 
 
 def _key_to_id(key, graph: CallGraph, names: dict, side: str) -> int:

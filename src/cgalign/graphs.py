@@ -1,17 +1,19 @@
 """Attributed call graphs and their JSON exchange format.
 
 A program is a set of functions with numeric feature vectors plus directed
-call edges between them.  Graphs are treated as immutable once constructed;
-derived arrays are cached on first use.
+call edges between them.  A graph holds them as columns: a feature matrix,
+an address-order vector, a name tuple and a sorted edge array, each checked
+once when the graph is built and read-only afterwards.
 """
 
 from __future__ import annotations
 
 import json
 import logging
-import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from itertools import chain
+from operator import itemgetter
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -32,104 +34,65 @@ def feature_group_sizes(n_classes: int) -> Tuple[int, int, int]:
     return (n_classes + 2, len(TOPOLOGY_KEYS), len(NEIGHBORHOOD_KEYS))
 
 
-@dataclass(frozen=True)
-class FeatureVector:
-    """Per-function attributes, grouped the way the similarity weights them."""
-
-    content: Tuple[float, ...]       # total instrs, per-class counts, max block instrs
-    topology: Tuple[float, ...]      # blocks, jumps, max block callers/callees
-    neighborhood: Tuple[float, ...]  # caller count, callee count
-
-    def concat(self) -> Tuple[float, ...]:
-        return self.content + self.topology + self.neighborhood
-
-
-@dataclass(frozen=True)
-class FunctionNode:
-    id: int
-    order_index: int
-    features: FeatureVector
-    name: Optional[str] = None
-
-
-@dataclass
+@dataclass(frozen=True, eq=False)
 class CallGraph:
-    """A program's functions plus directed call edges.
+    """A program's functions, one row each, plus its directed calls.
 
-    Construction validates structural invariants; loaders add record-level
-    context on top.  Instances must not be mutated after construction.
+    Row i of `features`, `order` and `names` describes function i.  `edges`
+    takes any (caller, callee) rows; construction checks every column once,
+    keeps each call once in lexicographic order, counts the duplicates it
+    dropped, and stores read-only copies of the arrays.
     """
 
     name: str
     instruction_classes: Tuple[str, ...]
-    nodes: Tuple[FunctionNode, ...]
-    edges: frozenset  # of (caller_id, callee_id) pairs
-    duplicate_calls: int = 0  # how many duplicate call records the loader dropped
-
-    _fmat: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
-    _earr: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
+    features: np.ndarray  # (n, n_classes + 8) float64, finite and non-negative
+    order: np.ndarray     # (n,) int64 address-order positions, a permutation of 0..n-1
+    names: Tuple[Optional[str], ...]
+    edges: np.ndarray     # (m, 2) int64 (caller, callee) rows, sorted and unique
+    duplicate_calls: int = field(default=0, init=False)
 
     def __post_init__(self):
-        n = len(self.nodes)
-        content_len, topo_len, nbh_len = feature_group_sizes(len(self.instruction_classes))
-        ids = [node.id for node in self.nodes]
-        if ids != list(range(n)):
-            raise FormatError("%s: node ids must be 0..%d in order" % (self.name, n - 1))
-        if sorted(node.order_index for node in self.nodes) != list(range(n)):
+        n = len(self.names)
+        width = sum(feature_group_sizes(len(self.instruction_classes)))
+        features = np.array(self.features, dtype=np.float64)
+        if features.shape != (n, width):
+            raise FormatError("%s: features must have shape (%d, %d) for %d functions and "
+                              "the declared instruction classes" % (self.name, n, width, n))
+        valid = ((features >= 0) & (features < np.inf)).all(axis=1)
+        if not valid.all():
+            raise FormatError("%s: function %d has a non-finite or negative feature"
+                              % (self.name, np.argmin(valid)))
+        order = np.asarray(self.order)  # of objects if a value is past int64
+        if not np.array_equal(np.sort(order), np.arange(n)):
             raise FormatError("%s: order_index values must be a permutation of 0..%d"
                               % (self.name, n - 1))
-        for node in self.nodes:
-            fv = node.features
-            if (len(fv.content), len(fv.topology), len(fv.neighborhood)) != (
-                    content_len, topo_len, nbh_len):
-                raise FormatError("%s: function %d has a feature vector that does not "
-                                  "match the declared instruction classes" % (self.name, node.id))
-            for value in fv.concat():
-                if not (isinstance(value, (int, float)) and math.isfinite(value) and value >= 0):
-                    raise FormatError("%s: function %d has a non-finite or negative feature"
-                                      % (self.name, node.id))
-        for caller, callee in self.edges:
-            if caller == callee:
-                raise FormatError("%s: self-loop on function %d" % (self.name, caller))
-            if not (0 <= caller < n and 0 <= callee < n):
-                raise FormatError("%s: call (%d, %d) references a missing function"
-                                  % (self.name, caller, callee))
+        calls = np.array(self.edges, dtype=np.int64).reshape(-1, 2)
+        outside = ((calls < 0) | (calls >= n)).any(axis=1)
+        if outside.any():
+            raise FormatError("%s: call (%d, %d) references a missing function"
+                              % (self.name, *calls[np.argmax(outside)]))
+        loops = calls[:, 0] == calls[:, 1]
+        if loops.any():
+            raise FormatError("%s: self-loop on function %d"
+                              % (self.name, calls[np.argmax(loops), 0]))
+        keys = np.unique(calls[:, 0] * n + calls[:, 1])
+        edges = np.stack(np.divmod(keys, max(n, 1)), axis=1)
+        for key, column in (("features", features), ("order", order.astype(np.int64)),
+                            ("edges", edges)):
+            column.flags.writeable = False
+            object.__setattr__(self, key, column)
+        object.__setattr__(self, "names", tuple(self.names))
+        object.__setattr__(self, "duplicate_calls", len(calls) - len(edges))
 
     @property
     def n(self) -> int:
-        return len(self.nodes)
-
-    def feature_matrix(self) -> np.ndarray:
-        """(n, F) float array, one concatenated feature vector per function."""
-        if self._fmat is None:
-            rows = [node.features.concat() for node in self.nodes]
-            width = sum(feature_group_sizes(len(self.instruction_classes)))
-            self._fmat = np.asarray(rows, dtype=np.float64).reshape(self.n, width)
-        return self._fmat
-
-    def edge_array(self) -> np.ndarray:
-        """(m, 2) int array of call edges in lexicographic order."""
-        if self._earr is None:
-            self._earr = np.asarray(sorted(self.edges), dtype=np.int64).reshape(-1, 2)
-        return self._earr
-
-    def order_array(self) -> np.ndarray:
-        return np.asarray([node.order_index for node in self.nodes], dtype=np.int64)
-
-    def names(self) -> List[Optional[str]]:
-        return [node.name for node in self.nodes]
+        return len(self.names)
 
     def key_of(self, node_id: int):
         """Name of a function if it has one, otherwise its integer id."""
-        name = self.nodes[node_id].name
+        name = self.names[node_id]
         return name if name is not None else node_id
-
-    def undirected_adjacency(self) -> List[List[int]]:
-        adj: List[List[int]] = [[] for _ in range(self.n)]
-        for caller, callee in sorted(self.edges):
-            adj[caller].append(callee)
-            adj[callee].append(caller)
-        return [sorted(set(neigh)) for neigh in adj]
 
 
 # ---------------------------------------------------------------------------
@@ -142,15 +105,19 @@ def _require(doc: dict, key: str, where: str):
     return doc[key]
 
 
-def _number(value, where: str) -> float:
+def _number(value, where: str):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise FormatError("%s must be a number" % where)
-    if not math.isfinite(value) or value < 0:
+    try:
+        value = float(value)
+    except OverflowError:  # an integer too large for a float
+        value = np.inf
+    if not 0 <= value < np.inf:
         raise FormatError("%s must be finite and non-negative" % where)
-    return float(value)
 
 
-def _parse_function(entry, index: int, n_classes: int) -> Tuple[Optional[str], int, FeatureVector]:
+def _check_function(entry, index: int, n_classes: int) -> Optional[str]:
+    """Raise the first error in one function record; return its name."""
     where = "functions[%d]" % index
     if not isinstance(entry, dict):
         raise FormatError("%s: expected an object" % where)
@@ -165,20 +132,90 @@ def _parse_function(entry, index: int, n_classes: int) -> Tuple[Optional[str], i
     counts = _require(content, "class_counts", where + ".content")
     if not isinstance(counts, list) or len(counts) != n_classes:
         raise FormatError("%s: class_counts must list %d values" % (where, n_classes))
-    content_vec = (
-        _number(_require(content, "total_instructions", where + ".content"),
-                where + ".total_instructions"),
-        *(_number(c, "%s.class_counts[%d]" % (where, k)) for k, c in enumerate(counts)),
-        _number(_require(content, "max_block_instructions", where + ".content"),
-                where + ".max_block_instructions"),
-    )
-    topo = _require(entry, "topology", where)
-    topo_vec = tuple(_number(_require(topo, key, where + ".topology"),
-                             "%s.%s" % (where, key)) for key in TOPOLOGY_KEYS)
-    nbh = _require(entry, "neighborhood", where)
-    nbh_vec = tuple(_number(_require(nbh, key, where + ".neighborhood"),
-                            "%s.%s" % (where, key)) for key in NEIGHBORHOOD_KEYS)
-    return name, order, FeatureVector(content_vec, topo_vec, nbh_vec)
+    _number(_require(content, "total_instructions", where + ".content"),
+            where + ".total_instructions")
+    for k, c in enumerate(counts):
+        _number(c, "%s.class_counts[%d]" % (where, k))
+    _number(_require(content, "max_block_instructions", where + ".content"),
+            where + ".max_block_instructions")
+    for group, keys in (("topology", TOPOLOGY_KEYS), ("neighborhood", NEIGHBORHOOD_KEYS)):
+        values = _require(entry, group, where)
+        for key in keys:
+            _number(_require(values, key, "%s.%s" % (where, group)), "%s.%s" % (where, key))
+    return name
+
+
+def _explain(doc: dict, source: str, raw_functions: list, n_classes: int):
+    """Raise the first error in the function, then the call records of a document.
+
+    Called only once a bulk check has failed, so that the message names its
+    record; returns if every record is sound.
+    """
+    seen_names: Dict[str, int] = {}
+    for index, entry in enumerate(raw_functions):
+        name = _check_function(entry, index, n_classes)
+        if name is not None:
+            if name in seen_names:
+                raise FormatError("functions[%d]: duplicate name %r (also functions[%d])"
+                                  % (index, name, seen_names[name]))
+            seen_names[name] = index
+
+    n = len(raw_functions)
+    raw_calls = _require(doc, "calls", source)
+    if not isinstance(raw_calls, list):
+        raise FormatError("%s: calls must be a list" % source)
+    for index, call in enumerate(raw_calls):
+        where = "calls[%d]" % index
+        if (not isinstance(call, list) or len(call) != 2
+                or any(isinstance(v, bool) or not isinstance(v, int) for v in call)):
+            raise FormatError("%s: expected [caller_index, callee_index]" % where)
+        caller, callee = call
+        if not (0 <= caller < n and 0 <= callee < n):
+            raise FormatError("%s: function index out of range" % where)
+        if caller == callee:
+            raise FormatError("%s: self-loop on function %d" % (where, caller))
+
+
+def _all_of(values, *types) -> bool:
+    """Whether every value is an instance of `types` and not a bool; one test per type."""
+    return all(issubclass(t, types) and not issubclass(t, bool) for t in set(map(type, values)))
+
+
+_topology = itemgetter(*TOPOLOGY_KEYS)
+_neighborhood = itemgetter(*NEIGHBORHOOD_KEYS)
+
+
+def _columns(doc: dict, program: str, classes: Tuple[str, ...],
+             raw_functions: list) -> CallGraph:
+    """The graph of a document, gathered column by column and checked in bulk.
+
+    Raises as soon as a check fails, with any exception: the caller then
+    finds the offending record.
+    """
+    names, orders, values = [], [], []
+    for entry in raw_functions:
+        content = entry["content"]
+        counts = content["class_counts"]
+        if not isinstance(counts, list) or len(counts) != len(classes):
+            raise ValueError("class_counts of the wrong length")
+        names.append(entry.get("name"))
+        orders.append(entry["order_index"])
+        values.append(content["total_instructions"])
+        values += counts
+        values.append(content["max_block_instructions"])
+        values += _topology(entry["topology"])
+        values += _neighborhood(entry["neighborhood"])
+    calls = doc["calls"]
+    if not (_all_of(names, str, type(None)) and _all_of(orders, int)
+            and _all_of(values, int, float) and isinstance(calls, list)
+            and _all_of(calls, list) and set(map(len, calls)) <= {2}
+            and _all_of(chain.from_iterable(calls), int)
+            and len(set(names)) - (None in names) == len(names) - names.count(None)):
+        raise ValueError("a value of the wrong type, or a repeated name")
+    width = sum(feature_group_sizes(len(classes)))
+    return CallGraph(name=program, instruction_classes=classes,
+                     features=np.array(values, dtype=np.float64).reshape(-1, width),
+                     order=orders, names=names, edges=calls)
 
 
 def parse_call_graph(doc: dict, source: str = "<memory>") -> CallGraph:
@@ -193,48 +230,21 @@ def parse_call_graph(doc: dict, source: str = "<memory>") -> CallGraph:
     classes = _require(header, "instruction_classes", source + ".header")
     if not isinstance(classes, list) or not all(isinstance(c, str) for c in classes):
         raise FormatError("%s: instruction_classes must be a list of strings" % source)
-
     raw_functions = _require(doc, "functions", source)
     if not isinstance(raw_functions, list):
         raise FormatError("%s: functions must be a list" % source)
-    n = len(raw_functions)
 
-    nodes = []
-    seen_names: Dict[str, int] = {}
-    for index, entry in enumerate(raw_functions):
-        name, order, features = _parse_function(entry, index, len(classes))
-        if name is not None:
-            if name in seen_names:
-                raise FormatError("functions[%d]: duplicate name %r (also functions[%d])"
-                                  % (index, name, seen_names[name]))
-            seen_names[name] = index
-        nodes.append(FunctionNode(id=index, order_index=order, features=features, name=name))
-
-    raw_calls = _require(doc, "calls", source)
-    if not isinstance(raw_calls, list):
-        raise FormatError("%s: calls must be a list" % source)
-    edges = set()
-    duplicates = 0
-    for index, call in enumerate(raw_calls):
-        where = "calls[%d]" % index
-        if (not isinstance(call, list) or len(call) != 2
-                or any(isinstance(v, bool) or not isinstance(v, int) for v in call)):
-            raise FormatError("%s: expected [caller_index, callee_index]" % where)
-        caller, callee = call
-        if not (0 <= caller < n and 0 <= callee < n):
-            raise FormatError("%s: function index out of range" % where)
-        if caller == callee:
-            raise FormatError("%s: self-loop on function %d" % (where, caller))
-        if (caller, callee) in edges:
-            duplicates += 1
-        else:
-            edges.add((caller, callee))
-    if duplicates:
-        log.warning("%s: dropped %d duplicate call record(s)", source, duplicates)
-
-    return CallGraph(name=program, instruction_classes=tuple(classes),
-                     nodes=tuple(nodes), edges=frozenset(edges),
-                     duplicate_calls=duplicates)
+    try:
+        graph = _columns(doc, program, tuple(classes), raw_functions)
+    except (FormatError, LookupError, TypeError, AttributeError, ValueError, OverflowError):
+        # the errors a malformed record causes in the bulk pass; the walk
+        # names the record, and if every record is sound only the order
+        # permutation can have failed, with the CallGraph's own message
+        _explain(doc, source, raw_functions, len(classes))
+        raise
+    if graph.duplicate_calls:
+        log.warning("%s: dropped %d duplicate call record(s)", source, graph.duplicate_calls)
+    return graph
 
 
 def read_json(path: str):
@@ -250,6 +260,8 @@ def read_json(path: str):
         raise FormatError("%s: not UTF-8 text (%s)" % (path, exc))
     except json.JSONDecodeError as exc:
         raise FormatError("%s: not valid JSON (%s)" % (path, exc))
+    except RecursionError:
+        raise FormatError("%s: not valid JSON (nested too deeply)" % path)
 
 
 def load_call_graph(path: str) -> CallGraph:
@@ -258,22 +270,21 @@ def load_call_graph(path: str) -> CallGraph:
 
 
 def serialize_call_graph(graph: CallGraph) -> dict:
-    n_classes = len(graph.instruction_classes)
+    content, topology, _ = feature_group_sizes(len(graph.instruction_classes))
     functions = []
-    for node in graph.nodes:
-        fv = node.features
+    for row, order, name in zip(graph.features.tolist(), graph.order.tolist(), graph.names):
         entry = {
-            "order_index": node.order_index,
+            "order_index": order,
             "content": {
-                "total_instructions": fv.content[0],
-                "class_counts": list(fv.content[1:1 + n_classes]),
-                "max_block_instructions": fv.content[-1],
+                "total_instructions": row[0],
+                "class_counts": row[1:content - 1],
+                "max_block_instructions": row[content - 1],
             },
-            "topology": dict(zip(TOPOLOGY_KEYS, fv.topology)),
-            "neighborhood": dict(zip(NEIGHBORHOOD_KEYS, fv.neighborhood)),
+            "topology": dict(zip(TOPOLOGY_KEYS, row[content:])),
+            "neighborhood": dict(zip(NEIGHBORHOOD_KEYS, row[content + topology:])),
         }
-        if node.name is not None:
-            entry["name"] = node.name
+        if name is not None:
+            entry["name"] = name
         functions.append(entry)
     return {
         "header": {
@@ -282,7 +293,7 @@ def serialize_call_graph(graph: CallGraph) -> dict:
             "instruction_classes": list(graph.instruction_classes),
         },
         "functions": functions,
-        "calls": [list(edge) for edge in sorted(graph.edges)],
+        "calls": graph.edges.tolist(),
     }
 
 

@@ -59,6 +59,15 @@ def node_weight_map(problem: NapProblem) -> Dict[Tuple[int, int], float]:
                                problem.node_weights)}
 
 
+def undirected_adjacency(graph: CallGraph) -> List[List[int]]:
+    """Each function's callers and callees, ascending and without repeats."""
+    adj: List[set] = [set() for _ in range(graph.n)]
+    for caller, callee in graph.edges.tolist():
+        adj[caller].add(callee)
+        adj[callee].add(caller)
+    return [sorted(neigh) for neigh in adj]
+
+
 def _k_hop(adjacency: List[List[int]], start: int, k: int) -> List[int]:
     """Nodes within undirected distance 1..k of start, ascending."""
     seen = {start}
@@ -93,8 +102,8 @@ def solve_mcs_greedy(problem: NapProblem, a: CallGraph, b: CallGraph,
     if problem.n_candidates == 0:
         return Mapping.empty()
     rows, cols, w = problem.cand_rows, problem.cand_cols, problem.node_weights
-    adj_a = a.undirected_adjacency()
-    adj_b = b.undirected_adjacency()
+    adj_a = undirected_adjacency(a)
+    adj_b = undirected_adjacency(b)
     deg_a = np.array([len(x) for x in adj_a], dtype=np.int64)
     deg_b = np.array([len(x) for x in adj_b], dtype=np.int64)
     eligible = (w > 0.0) & (deg_a[rows] > 0) & (deg_b[cols] > 0)

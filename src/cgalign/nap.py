@@ -98,7 +98,7 @@ JOIN_CHUNK = 4_000_000  # edge pairs joined at once; bounds the join's scratch a
 
 def _out_edges(graph: CallGraph) -> Tuple[np.ndarray, np.ndarray]:
     """(offsets, callees): out-neighbours of i are callees[offsets[i]:offsets[i+1]]."""
-    edges = graph.edge_array()  # sorted by caller, so each caller's calls are contiguous
+    edges = graph.edges  # sorted by caller, so each caller's calls are contiguous
     offsets = np.zeros(graph.n + 1, dtype=np.int64)
     np.cumsum(np.bincount(edges[:, 0], minlength=graph.n), out=offsets[1:])
     return offsets, edges[:, 1]
@@ -258,14 +258,15 @@ def ged_cost_editpath(a: CallGraph, b: CallGraph, mapping: Mapping,
     cost += (a.n - len(mapping)) * d_node
     cost += (b.n - len(mapping)) * d_node
 
+    edges_b = set(map(tuple, b.edges.tolist()))
     edited = set()
-    for caller, callee in sorted(a.edges):
+    for caller, callee in a.edges.tolist():
         target = (fwd.get(caller), fwd.get(callee))
-        if None not in target and target in b.edges:
+        if None not in target and target in edges_b:
             edited.add(target)  # matched call, zero edit cost
         else:
             cost += d_edge  # deleted call
-    for edge in sorted(b.edges):
+    for edge in sorted(edges_b):
         if edge not in edited:
             cost += d_edge  # inserted call
     return cost

@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .graphs import CallGraph, FeatureVector, feature_group_sizes, validate_pair
+from .graphs import CallGraph, feature_group_sizes, validate_pair
 
 # elements per scratch buffer of the similarity kernel (512 KiB of float64):
 # each row block of the score matrix is computed in two such buffers
@@ -74,20 +74,21 @@ def _weighted_canberra(fa: np.ndarray, fb: np.ndarray, weights: np.ndarray,
     return num @ weights / weights.sum()
 
 
-def canberra_similarity(fa: FeatureVector, fb: FeatureVector,
-                        config: Optional[SimilarityConfig] = None) -> float:
-    """Similarity in [0, 1] between two feature vectors of the same layout.
+def canberra_similarity(fa, fb, config: Optional[SimilarityConfig] = None) -> float:
+    """Similarity in [0, 1] between two feature rows of one layout, such as a.features[i].
 
-    Features must be finite and non-negative, as in a CallGraph.
+    A row of a graph with n_classes instruction classes holds n_classes + 8
+    features, which must be finite and non-negative, as in a CallGraph.
     """
     config = config or SimilarityConfig()
-    if (len(fa.content), len(fa.topology), len(fa.neighborhood)) != (
-            len(fb.content), len(fb.topology), len(fb.neighborhood)):
+    pair = np.asarray(fa, dtype=np.float64), np.asarray(fb, dtype=np.float64)
+    n_classes = pair[0].size - sum(feature_group_sizes(0))
+    if pair[0].ndim != 1 or pair[0].shape != pair[1].shape or n_classes < 0:
         raise ValueError("feature vectors have different layouts")
-    pair = np.asarray((fa.concat(), fb.concat()), dtype=np.float64)
-    if not np.all(np.isfinite(pair) & (pair >= 0)):
+    pair = np.stack(pair)
+    if not np.all((pair >= 0) & (pair < np.inf)):
         raise ValueError("features must be finite and non-negative")
-    weights = feature_weights(len(fa.content) - 2, config)
+    weights = feature_weights(n_classes, config)
     num, den = np.empty((2, 1, 1, pair.shape[1]))
     return float(1.0 - _weighted_canberra(pair[:1], pair[1:], weights, num, den)[0, 0])
 
@@ -165,8 +166,8 @@ def build_similarity_matrix(a: CallGraph, b: CallGraph,
                                 empty.astype(np.int64), empty.astype(np.float64))
 
     weights = feature_weights(len(a.instruction_classes), config)
-    fa, fb = a.feature_matrix(), b.feature_matrix()
-    order_a, order_b = a.order_array(), b.order_array()
+    fa, fb = a.features, b.features
+    order_a, order_b = a.order, b.order
     span = max(n_a, n_b)
 
     scores = np.empty((n_a, n_b), dtype=np.float64)

@@ -16,7 +16,7 @@ from typing import List, Optional, Set, Tuple
 import numpy as np
 
 from .evaluation import GroundTruth
-from .graphs import CallGraph, FeatureVector, FunctionNode
+from .graphs import NEIGHBORHOOD_KEYS, TOPOLOGY_KEYS, CallGraph
 
 DEFAULT_CLASSES = ("arith", "logic", "mem", "branch", "call", "other")
 
@@ -39,41 +39,31 @@ class MutationSpec:
 
 
 def _draw_features(rng: np.random.Generator, count: int,
-                   n_classes: int) -> List[Tuple[Tuple[float, ...], Tuple[float, ...]]]:
-    """(content, topology) feature tuples for `count` fresh functions."""
+                   n_classes: int) -> List[Tuple[float, ...]]:
+    """Content then topology features for `count` fresh functions, one row each."""
     out = []
     for _ in range(count):
         class_counts = rng.integers(0, 40, size=n_classes)
         total = int(class_counts.sum())
         max_block = int(rng.integers(1, total + 2))
-        content = (float(total), *map(float, class_counts), float(max_block))
         blocks = int(rng.integers(1, 30))
         jumps = int(rng.integers(0, 50))
-        topology = (float(blocks), float(jumps),
-                    float(rng.integers(0, 6)), float(rng.integers(0, 6)))
-        out.append((content, topology))
+        out.append((float(total), *map(float, class_counts), float(max_block), float(blocks),
+                    float(jumps), float(rng.integers(0, 6)), float(rng.integers(0, 6))))
     return out
 
 
-def _assemble(name: str, classes: Tuple[str, ...],
-              content_topo: List[Tuple[Tuple[float, ...], Tuple[float, ...]]],
-              order: List[int], names: List[Optional[str]],
-              edges: Set[Tuple[int, int]]) -> CallGraph:
-    """Build a graph, recomputing neighborhood features from the edges."""
-    n = len(content_topo)
-    callers = [0] * n
-    callees = [0] * n
-    for u, v in edges:
-        callees[u] += 1
-        callers[v] += 1
-    nodes = []
-    for i, (content, topology) in enumerate(content_topo):
-        features = FeatureVector(content=content, topology=topology,
-                                 neighborhood=(float(callers[i]), float(callees[i])))
-        nodes.append(FunctionNode(id=i, order_index=order[i], features=features,
-                                  name=names[i]))
-    return CallGraph(name=name, instruction_classes=classes, nodes=tuple(nodes),
-                     edges=frozenset(edges))
+def _assemble(name: str, classes: Tuple[str, ...], rows: List[Tuple[float, ...]],
+              order, names: List[Optional[str]], edges) -> CallGraph:
+    """Build a graph from (caller, callee) rows, recomputing neighborhood features."""
+    n = len(names)
+    calls = np.array(edges, dtype=np.int64).reshape(-1, 2)
+    features = np.column_stack((
+        np.array(rows, dtype=np.float64).reshape(n, len(classes) + 2 + len(TOPOLOGY_KEYS)),
+        np.bincount(calls[:, 1], minlength=n),   # callers
+        np.bincount(calls[:, 0], minlength=n)))  # callees
+    return CallGraph(name=name, instruction_classes=classes, features=features,
+                     order=order, names=names, edges=calls)
 
 
 def generate_graph(n: int, edge_density: float = 0.1, seed: int = 0,
@@ -97,37 +87,32 @@ def generate_graph(n: int, edge_density: float = 0.1, seed: int = 0,
         raise ValueError("templates must be at least 1")
     base = _draw_features(rng, templates, len(classes))
 
-    content_topo = []
-    for i in range(n):
-        content, topology = base[int(rng.integers(0, len(base)))]
-        content_topo.append(_jitter(rng, content, topology, amount=2))
+    rows = [_jitter(rng, base[int(rng.integers(0, len(base)))], amount=2) for _ in range(n)]
 
-    edges: Set[Tuple[int, int]] = set()
+    edges = np.empty((0, 2), dtype=np.int64)
     if n > 1 and edge_density > 0:
         mask = rng.random((n, n)) < edge_density
         np.fill_diagonal(mask, False)
-        edges = {(int(u), int(v)) for u, v in np.argwhere(mask)}
+        edges = np.argwhere(mask)
 
     order = [int(x) for x in rng.permutation(n)]
     names = ["fn%04d" % i for i in range(n)]
-    return _assemble(name or "synthetic-%d" % seed, classes, content_topo,
-                     order, names, edges)
+    return _assemble(name or "synthetic-%d" % seed, classes, rows, order, names, edges)
 
 
-def _jitter(rng: np.random.Generator, content: Tuple[float, ...],
-            topology: Tuple[float, ...], amount: int):
-    """Integer noise on content and topology, keeping everything consistent."""
+def _jitter(rng: np.random.Generator, row, amount: int) -> Tuple[float, ...]:
+    """Integer noise on a content and topology row, keeping everything consistent."""
+    content = len(row) - len(TOPOLOGY_KEYS)
     counts = np.maximum(
-        np.asarray(content[1:-1]) + rng.integers(-amount, amount + 1,
-                                                 size=len(content) - 2), 0)
+        np.asarray(row[1:content - 1]) + rng.integers(-amount, amount + 1,
+                                                      size=content - 2), 0)
     total = float(counts.sum())
-    max_block = float(min(max(content[-1] + rng.integers(-amount, amount + 1), 0.0),
+    max_block = float(min(max(row[content - 1] + rng.integers(-amount, amount + 1), 0.0),
                           total + 1))
-    new_content = (total, *map(float, counts), max_block)
-    topo = np.maximum(
-        np.asarray(topology) + rng.integers(-amount, amount + 1, size=len(topology)), 0)
+    topo = np.maximum(np.asarray(row[content:]) + rng.integers(
+        -amount, amount + 1, size=len(TOPOLOGY_KEYS)), 0)
     topo[0] = max(topo[0], 1)
-    return new_content, tuple(map(float, topo))
+    return (total, *map(float, counts), max_block, *map(float, topo))
 
 
 def mutate(graph: CallGraph, spec: MutationSpec,
@@ -142,7 +127,7 @@ def mutate(graph: CallGraph, spec: MutationSpec,
     """
     rng = np.random.default_rng(seed)
     n = graph.n
-    if any(node.name is None for node in graph.nodes):
+    if None in graph.names:
         raise ValueError("mutate requires named functions")
     if spec.delete > n:
         raise ValueError("cannot delete %d of %d functions" % (spec.delete, n))
@@ -152,38 +137,30 @@ def mutate(graph: CallGraph, spec: MutationSpec,
     doomed = set(int(x) for x in rng.choice(n, size=spec.delete, replace=False)) \
         if spec.delete else set()
     survivors = [i for i in range(n) if i not in doomed]
-    new_id = {old: k for k, old in enumerate(survivors)}
     n_new = len(survivors) + spec.insert
 
-    content_topo = []
-    names: List[Optional[str]] = []
-    order_keys: List[float] = []
-    for old in survivors:
-        node = graph.nodes[old]
-        content_topo.append((node.features.content, node.features.topology))
-        names.append(node.name)
-        order_keys.append(float(node.order_index))
+    rows = graph.features[survivors, :-len(NEIGHBORHOOD_KEYS)].tolist()
+    names = [graph.names[old] for old in survivors]
+    order_keys = graph.order[survivors].tolist()
     taken = set(names)
-    for k, (content, topology) in enumerate(
-            _draw_features(rng, spec.insert, len(graph.instruction_classes))):
+    for k, row in enumerate(_draw_features(rng, spec.insert, len(graph.instruction_classes))):
         label = "ins%04d" % k
         while label in taken:
             label = "ins%04d_" % k + str(len(label))
         taken.add(label)
-        content_topo.append((content, topology))
+        rows.append(row)
         names.append(label)
         order_keys.append(float(rng.uniform(-0.5, n - 0.5)))
 
     if spec.perturb:
         which = rng.choice(len(survivors), size=spec.perturb, replace=False)
         for idx in sorted(int(x) for x in which):
-            content, topology = content_topo[idx]
-            content_topo[idx] = _jitter(rng, content, topology, amount=spec.noise)
+            rows[idx] = _jitter(rng, rows[idx], amount=spec.noise)
 
-    edges: Set[Tuple[int, int]] = set()
-    for u, v in sorted(graph.edges):
-        if u in new_id and v in new_id:
-            edges.add((new_id[u], new_id[v]))
+    new_id = np.full(n, -1)
+    new_id[survivors] = np.arange(len(survivors))
+    kept = new_id[graph.edges]
+    edges: Set[Tuple[int, int]] = set(map(tuple, kept[(kept >= 0).all(axis=1)].tolist()))
     for k in range(spec.insert):
         node = len(survivors) + k
         for _ in range(int(rng.integers(0, 4))):
@@ -211,12 +188,9 @@ def mutate(graph: CallGraph, spec: MutationSpec,
                 edges.add((u, v))
                 added += 1
 
-    ranks = np.argsort(np.asarray(order_keys), kind="stable")
-    order = [0] * n_new
-    for position, node in enumerate(ranks.tolist()):
-        order[node] = position
+    # each function's position in the stable sort of the order keys
+    order = np.argsort(np.argsort(order_keys, kind="stable"))
     mutated = _assemble(graph.name + "+mut", graph.instruction_classes,
-                        content_topo, order, names, edges)
-    truth = GroundTruth.from_pairs(
-        (graph.nodes[old].name, graph.nodes[old].name) for old in survivors)
+                        rows, order, names, sorted(edges))
+    truth = GroundTruth.from_pairs((name, name) for name in names[:len(survivors)])
     return mutated, truth

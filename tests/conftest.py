@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from cgalign import CallGraph, FeatureVector, FunctionNode, SimilarityMatrix
+from cgalign import CallGraph, SimilarityMatrix
 
 settings.register_profile(
     "suite",
@@ -19,33 +19,35 @@ CLASSES = ("arith", "logic", "mem", "branch", "call", "other")
 
 def make_features(counts, blocks=3.0, jumps=2.0, callers=1.0, callees=1.0,
                   max_block=None, max_callers=1.0, max_callees=1.0):
+    """One feature row: content, then topology, then neighborhood."""
     counts = tuple(float(c) for c in counts)
     total = sum(counts)
-    return FeatureVector(
-        content=(total, *counts, max_block if max_block is not None else total + 1),
-        topology=(blocks, jumps, max_callers, max_callees),
-        neighborhood=(callers, callees),
-    )
+    return (total, *counts, max_block if max_block is not None else total + 1,
+            blocks, jumps, max_callers, max_callees, callers, callees)
 
 
 def make_graph(n, edges=(), name="g", classes=CLASSES, features=None, order=None):
     """Small hand-built graph; features default to distinct per-node counts."""
-    nodes = []
+    rows = []
     for i in range(n):
         if features is not None:
-            fv = features[i]
+            rows.append(features[i])
         else:
             counts = [0.0] * len(classes)
             counts[i % len(classes)] = float(10 + i)
-            fv = make_features(counts, callers=0.0, callees=0.0)
-        nodes.append(FunctionNode(
-            id=i,
-            order_index=order[i] if order is not None else i,
-            features=fv,
-            name="fn%04d" % i,
-        ))
+            rows.append(make_features(counts, callers=0.0, callees=0.0))
     return CallGraph(name=name, instruction_classes=tuple(classes),
-                     nodes=tuple(nodes), edges=frozenset(edges))
+                     features=np.array(rows, dtype=np.float64).reshape(n, len(classes) + 8),
+                     order=range(n) if order is None else order,
+                     names=tuple("fn%04d" % i for i in range(n)), edges=sorted(edges))
+
+
+def same_graph(a, b):
+    """Whether two graphs hold the same columns, features bit for bit."""
+    return (a.name == b.name and a.instruction_classes == b.instruction_classes
+            and np.array_equal(a.features.view(np.int64), b.features.view(np.int64))
+            and np.array_equal(a.order, b.order) and a.names == b.names
+            and np.array_equal(a.edges, b.edges) and a.duplicate_calls == b.duplicate_calls)
 
 
 def dense_sim(matrix):

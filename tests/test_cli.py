@@ -110,6 +110,45 @@ def test_unreadable_input_file_is_a_one_line_data_error(tmp_path, capsys,
     assert len(err.splitlines()) == 1 and "Traceback" not in err
 
 
+NESTED_INPUTS = [("diff", "graph"), ("eval", "report"), ("eval", "truth"), ("ged", "report")]
+
+
+@pytest.mark.parametrize("command, role", NESTED_INPUTS,
+                         ids=["-".join(case) for case in NESTED_INPUTS])
+def test_deeply_nested_json_is_a_one_line_data_error(tmp_path, capsys, command, role):
+    graph = synthetic.generate_graph(3, seed=4)
+    path_a, path_b = write_graph_pair(tmp_path, graph, graph)
+    report_path = str(tmp_path / "report.json")
+    with open(report_path, "w") as handle:
+        json.dump({"matched": [["fn0000", "fn0000", 1.0]]}, handle)
+    truth_path = str(tmp_path / "truth.json")
+    evaluation.save_ground_truth(
+        evaluation.GroundTruth.from_pairs([("fn0000", "fn0000")]), truth_path)
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200000 + "]" * 200000)
+    paths = {"graph": path_a, "report": report_path, "truth": truth_path}
+    paths[role] = str(deep)
+    argv = {"diff": ["diff", paths["graph"], path_b],
+            "ged": ["ged", path_a, path_b, paths["report"]],
+            "eval": ["eval", paths["report"], paths["truth"]]}[command]
+    rc, _, err = run(capsys, argv)
+    assert rc == 2
+    assert err == "error: %s: not valid JSON (nested too deeply)\n" % deep
+
+
+def test_feature_too_large_for_a_float_is_a_one_line_data_error(tmp_path, capsys):
+    graph = synthetic.generate_graph(3, seed=4)
+    path_a, path_b = write_graph_pair(tmp_path, graph, graph)
+    with open(path_b) as handle:
+        doc = json.load(handle)
+    doc["functions"][1]["topology"]["jumps"] = 10 ** 400
+    with open(path_b, "w") as handle:
+        json.dump(doc, handle)
+    rc, _, err = run(capsys, ["diff", path_a, path_b])
+    assert rc == 2
+    assert err == "error: functions[1].jumps must be finite and non-negative\n"
+
+
 def test_diff_writes_report_file(tmp_path, capsys):
     graph = synthetic.generate_graph(5, edge_density=0.3, seed=2)
     path_a, path_b = write_graph_pair(tmp_path, graph, graph)
@@ -127,8 +166,7 @@ def test_eval_accepts_what_diff_emits(tmp_path, capsys):
     report_path = str(tmp_path / "report.json")
     run(capsys, ["diff", path_a, path_b, "--output", report_path])
     truth_path = str(tmp_path / "truth.json")
-    truth = evaluation.GroundTruth.from_pairs(
-        (node.name, node.name) for node in graph.nodes)
+    truth = evaluation.GroundTruth.from_pairs((name, name) for name in graph.names)
     evaluation.save_ground_truth(truth, truth_path)
     payload = run_json(capsys, ["eval", report_path, truth_path])
     assert payload["precision"] == 1.0
@@ -176,8 +214,7 @@ def test_eval_resolves_keys_against_programs(tmp_path, capsys):
         json.dump({"matched": [[i, i] for i in range(4)]}, handle)
     truth_path = str(tmp_path / "truth.json")
     evaluation.save_ground_truth(
-        evaluation.GroundTruth.from_pairs(
-            (node.name, node.name) for node in graph.nodes), truth_path)
+        evaluation.GroundTruth.from_pairs((name, name) for name in graph.names), truth_path)
     bare = run_json(capsys, ["eval", report_path, truth_path])
     assert bare["precision"] == 0.0  # indices vs names never intersect
     resolved = run_json(capsys, ["eval", report_path, truth_path,

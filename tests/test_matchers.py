@@ -12,7 +12,7 @@ from cgalign import (BpConfig, Mapping, MutationSpec, SearchSpaceError,
                      solve_mcs_greedy, solve_mwm, solve_nap)
 from cgalign import SimilarityConfig, build_similarity_matrix
 from cgalign import matchers
-from cgalign.matchers import _k_hop
+from cgalign.matchers import _k_hop, undirected_adjacency
 
 from conftest import dense_sim, make_graph
 
@@ -174,6 +174,11 @@ def test_mcs_k_controls_expansion_radius():
     assert solve_mcs_greedy(p, a, b, k=1) == solve_mcs_greedy(p, a, b, k=2)
 
 
+def test_undirected_adjacency_merges_both_directions():
+    g = make_graph(4, edges=[(0, 1), (1, 0), (2, 1)])
+    assert undirected_adjacency(g) == [[1], [0, 2], [1], []]
+
+
 def reference_mcs(problem, a, b, k):
     """The greedy matcher with one scalar candidate lookup per (u, v) pair."""
     position = {(int(r), int(c)): t for t, (r, c)
@@ -181,7 +186,7 @@ def reference_mcs(problem, a, b, k):
     rows, cols, w = problem.cand_rows, problem.cand_cols, problem.node_weights
     if len(w) == 0:
         return Mapping.empty()
-    adj_a, adj_b = a.undirected_adjacency(), b.undirected_adjacency()
+    adj_a, adj_b = undirected_adjacency(a), undirected_adjacency(b)
     deg_a = np.array([len(x) for x in adj_a], dtype=np.int64)
     deg_b = np.array([len(x) for x in adj_b], dtype=np.int64)
     eligible = (w > 0.0) & (deg_a[rows] > 0) & (deg_b[cols] > 0)

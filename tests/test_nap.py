@@ -76,8 +76,8 @@ def test_squares_only_connect_retained_candidates():
     b = generate_graph(6, edge_density=0.4, seed=22, name="B")
     sim = build_similarity_matrix(a, b, SimilarityConfig(sparsity_ratio=0.6))
     p = build_problem(sim, a, b)
-    edges_a = set(map(tuple, a.edge_array().tolist()))
-    edges_b = set(map(tuple, b.edge_array().tolist()))
+    edges_a = set(map(tuple, a.edges.tolist()))
+    edges_b = set(map(tuple, b.edges.tolist()))
     assert p.n_squares > 0
     for u, v, count in zip(p.link_u.tolist(), p.link_v.tolist(), p.link_count.tolist()):
         i, i2 = int(p.cand_rows[u]), int(p.cand_cols[u])
@@ -93,8 +93,8 @@ def brute_force_links(sim, a, b):
     """Links and square counts from a scan of every (edge in A, edge in B) pair."""
     index = {(int(r), int(c)): k for k, (r, c) in enumerate(zip(sim.rows, sim.cols))}
     counts = {}
-    for i, k in a.edge_array().tolist():
-        for j, m in b.edge_array().tolist():
+    for i, k in a.edges.tolist():
+        for j, m in b.edges.tolist():
             if (i, j) in index and (k, m) in index:
                 link = tuple(sorted((index[i, j], index[k, m])))
                 counts[link] = counts.get(link, 0) + 1

@@ -5,10 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cgalign import (CallGraph, FeatureVector, FunctionNode, SimilarityConfig,
-                     SimilarityMatrix, build_similarity_matrix, canberra_similarity,
-                     generate_graph)
-from cgalign.graphs import feature_group_sizes
+from cgalign import (CallGraph, SimilarityConfig, SimilarityMatrix, build_similarity_matrix,
+                     canberra_similarity, generate_graph)
 from cgalign.similarity import BLOCK, _weighted_canberra, feature_weights, prune_lowest
 
 from conftest import make_features, make_graph
@@ -32,10 +30,8 @@ def test_single_group_golden_value():
     cfg = SimilarityConfig(content_weight=1.0, topology_weight=0.0,
                            neighborhood_weight=0.0)
     base = make_features([2.0])
-    fa = type(base)(content=(1.0, 2.0, 0.0), topology=base.topology,
-                    neighborhood=base.neighborhood)
-    fb = type(base)(content=(3.0, 2.0, 0.0), topology=base.topology,
-                    neighborhood=base.neighborhood)
+    fa = (1.0, 2.0, 0.0) + base[3:]
+    fb = (3.0, 2.0, 0.0) + base[3:]
     expected = 1.0 - (1.0 / 3.0) * (2.0 / 4.0)
     assert canberra_similarity(fa, fb, cfg) == pytest.approx(expected, abs=1e-12)
 
@@ -54,6 +50,20 @@ def test_layout_mismatch_rejected():
     fb = make_features([1, 0])
     with pytest.raises(ValueError, match="layout"):
         canberra_similarity(fa, fb)
+    with pytest.raises(ValueError, match="layout"):
+        canberra_similarity(fa[:7], fa[:7])  # shorter than any class list allows
+    with pytest.raises(ValueError, match="layout"):
+        canberra_similarity(1.0, 1.0)
+
+
+def test_graph_rows_score_like_the_matrix():
+    a = generate_graph(5, edge_density=0.3, seed=12, name="A")
+    b = generate_graph(4, edge_density=0.3, seed=13, name="B")
+    dense = build_similarity_matrix(a, b, SimilarityConfig(perturbation_scale=0.0)).to_dense()
+    for i in range(a.n):
+        for j in range(b.n):
+            assert canberra_similarity(a.features[i], b.features[j]) == pytest.approx(
+                dense[i, j], abs=1e-12)
 
 
 def test_all_zero_group_weights_rejected():
@@ -234,8 +244,8 @@ def reference_kernel(fa, fb, weights):
 def reference_scores(a, b, config):
     """The (n_a, n_b) score matrix as computed in chunks of about 4M elements."""
     weights = feature_weights(len(a.instruction_classes), config)
-    fa, fb = a.feature_matrix(), b.feature_matrix()
-    order_a, order_b = a.order_array(), b.order_array()
+    fa, fb = a.features, b.features
+    order_a, order_b = a.order, b.order
     span = max(a.n, b.n)
     scores = np.empty((a.n, b.n), dtype=np.float64)
     chunk = max(1, int(4_000_000 // (b.n * fa.shape[1] + 1)))
@@ -260,13 +270,9 @@ def random_features(rng, n, width, zero_rows=()):
 
 def graph_of(rng, values, n_classes, name):
     """A graph without calls whose functions carry the given feature rows."""
-    content, topology, _ = feature_group_sizes(n_classes)
-    nodes = tuple(
-        FunctionNode(id=i, order_index=int(k), features=FeatureVector(
-            *(tuple(part.tolist()) for part in np.split(row, [content, content + topology]))))
-        for i, (row, k) in enumerate(zip(values, rng.permutation(len(values)))))
     return CallGraph(name=name, instruction_classes=tuple("c%d" % k for k in range(n_classes)),
-                     nodes=nodes, edges=frozenset())
+                     features=values, order=rng.permutation(len(values)),
+                     names=(None,) * len(values), edges=[])
 
 
 def kernel_shapes():
