@@ -39,23 +39,21 @@ MESSAGE_TOL = 1e-9  # max-norm change that counts as convergence
 TIE_TOL = 1e-12     # message differences below this are treated as ties
 LINK_BLOCK = 16_384  # links per block: the ~1.3 MB of link arrays a block touches fit in L2
 MIN_CHUNK = 1024     # fewest elements worth a worker thread of their own
+MODE_STABLE_WINDOW = 20  # stop after this many iterations of an unchanged mode
 
 
 @dataclass(frozen=True)
 class BpConfig:
     epsilon: float = 0.5          # penalty for candidates beaten in their row/column
     max_iterations: int = 1000
-    convergence_window: int = 20  # stop after this many iterations of a stable mode
     damping: float = 0.0          # blend factor toward the previous messages
-    threads: int = 1              # chunked elementwise updates; results are identical
+    threads: int = 1              # chunked link updates; results are identical
 
     def __post_init__(self):
         if self.epsilon < 0:
             raise ValueError("epsilon must be non-negative")
         if self.max_iterations < 0:
             raise ValueError("max_iterations must be non-negative")
-        if self.convergence_window < 1:
-            raise ValueError("convergence_window must be positive")
         if not 0.0 <= self.damping < 1.0:
             raise ValueError("damping must lie in [0, 1)")
         if self.threads < 1:
@@ -74,7 +72,7 @@ class BpState:
     def __init__(self, problem: NapProblem, config: BpConfig):
         self.problem = problem
         self.config = config
-        n_cand, n_link = problem.n_candidates, len(problem.link_w)
+        n_cand, n_link = problem.n_candidates, len(problem.link_u)
         self.f = np.zeros(n_cand)
         self.g = np.zeros(n_cand)
         self.h_uv = np.zeros(n_link)  # link message u -> v
@@ -84,8 +82,9 @@ class BpState:
         self.ops_last = 0
         self._wn = problem.alpha * problem.node_weights
         # support into u and v, clip(wl + h_vu, 0, wl) and clip(wl + h_uv, 0, wl)
-        # for wl = (1 - alpha) * link_w: with zero messages, wl itself
-        self._in_u = (1.0 - problem.alpha) * problem.link_w
+        # for wl = (link_count * 2*d_edge) * (1 - alpha): with zero messages, wl itself
+        self._in_u = problem.link_count * (2.0 * problem.d_edge)
+        self._in_u *= 1.0 - problem.alpha
         self._in_v = self._in_u.copy()
         self._starts_r, self._seg_r = _segments(problem.cand_rows)  # row order = storage order
         self._perm_c = np.lexsort((problem.cand_rows, problem.cand_cols))
@@ -113,7 +112,6 @@ class BpDiagnostics:
     stop_reason: str
     best_objective: float
     objective_trace: List[float]
-    ops_per_iteration: int
     ops_total: int
     message_memory_bytes: int
     seconds: float
@@ -176,8 +174,8 @@ def _update_links(state: BpState) -> float:
     is the whole-array update's, element by element, so the bits are the same.
     """
     problem, p_hat, d = state.problem, state.p_hat, state.config.damping
-    link_u, link_v, link_w = problem.link_u, problem.link_v, problem.link_w
-    scale = 1.0 - problem.alpha
+    link_u, link_v, link_count = problem.link_u, problem.link_v, problem.link_count
+    square_w, scale = 2.0 * problem.d_edge, 1.0 - problem.alpha
     h_uv, h_vu, in_u, in_v = state.h_uv, state.h_vu, state._in_u, state._in_v
     scratch = state._scratch
     changes = np.zeros(len(scratch))
@@ -202,7 +200,8 @@ def _update_links(state: BpState) -> float:
                 np.abs(t, out=t)
                 largest = max(largest, float(t.max()))
                 old[...] = new
-            np.multiply(link_w[s:e], scale, out=t)
+            np.multiply(link_count[s:e], square_w, out=t)  # the link weights
+            t *= scale
             np.add(t, vu, out=in_u[s:e])
             np.clip(in_u[s:e], 0.0, t, out=in_u[s:e])
             np.add(t, uv, out=in_v[s:e])
@@ -233,18 +232,10 @@ def _beliefs(state: BpState) -> None:
                + np.bincount(problem.link_v, weights=state._in_v, minlength=n_cand))
 
     wn = state._wn
-    f_next = np.empty(n_cand)
-    g_next = np.empty(n_cand)
-    p_hat = np.empty(n_cand)
-
-    def fill(_, lo, hi):
-        row_side = wn[lo:hi] - rexf[lo:hi] - phi[lo:hi]
-        f_next[lo:hi] = wn[lo:hi] - cexg[lo:hi] - gamma[lo:hi] + support[lo:hi]
-        g_next[lo:hi] = row_side + support[lo:hi]
-        p_hat[lo:hi] = row_side - cexg[lo:hi] - gamma[lo:hi] + support[lo:hi]
-
-    _run_chunks(state, n_cand, fill)
-    state.p_hat, state._f_next, state._g_next = p_hat, f_next, g_next
+    row_side = wn - rexf - phi
+    state._f_next = wn - cexg - gamma + support
+    state._g_next = row_side + support
+    state.p_hat = row_side - cexg - gamma + support
 
 
 def _check_problem(problem: NapProblem, state: BpState):
@@ -311,7 +302,7 @@ def solve_nap(problem: NapProblem,
     (weights plus optimistic link support, a strong matching on its own),
     step k the mode after k updates.  Stops early when messages change by
     less than MESSAGE_TOL in max-norm or the mode stays identical for
-    convergence_window consecutive iterations.
+    MODE_STABLE_WINDOW consecutive iterations.
     """
     config = config or BpConfig()
     started = time.perf_counter()
@@ -338,7 +329,7 @@ def solve_nap(problem: NapProblem,
                 break
             if mode == previous_mode:
                 stable += 1
-                if stable >= config.convergence_window:
+                if stable >= MODE_STABLE_WINDOW:
                     stop_reason, converged = "mode_stable", True
                     break
             else:
@@ -355,7 +346,6 @@ def solve_nap(problem: NapProblem,
         stop_reason=stop_reason,
         best_objective=best_objective,
         objective_trace=trace,
-        ops_per_iteration=state.ops_last,
         ops_total=ops_total,
         message_memory_bytes=state.message_memory_bytes(),
         seconds=time.perf_counter() - started,

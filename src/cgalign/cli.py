@@ -304,22 +304,22 @@ def _parse_mutation(text: str) -> synthetic.MutationSpec:
 
 
 def cmd_generate(args) -> int:
+    """Generate (and mutate) first, so a bad flag leaves no file behind."""
+    if args.mutate is not None:
+        if not args.out_b or not args.out_truth:
+            raise DataError("--mutate requires --out-b and --out-truth")
+        spec = _parse_mutation(args.mutate)
     try:
         graph = synthetic.generate_graph(args.n, edge_density=args.density,
                                          seed=args.seed, templates=args.templates)
+        if args.mutate is not None:
+            mutated, truth = synthetic.mutate(graph, spec, seed=args.seed + 1)
     except ValueError as exc:
         raise DataError(str(exc))
     with _writing(args.out):
         save_call_graph(graph, args.out)
     outputs = [args.out]
     if args.mutate is not None:
-        if not args.out_b or not args.out_truth:
-            raise DataError("--mutate requires --out-b and --out-truth")
-        spec = _parse_mutation(args.mutate)
-        try:
-            mutated, truth = synthetic.mutate(graph, spec, seed=args.seed + 1)
-        except ValueError as exc:
-            raise DataError(str(exc))
         with _writing(args.out_b):
             save_call_graph(mutated, args.out_b)
         with _writing(args.out_truth):

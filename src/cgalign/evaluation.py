@@ -48,7 +48,8 @@ class GroundTruth:
 
 
 def parse_ground_truth(doc: dict, source: str = "<memory>") -> GroundTruth:
-    if not isinstance(doc, dict) or doc.get("format_version") != FORMAT_VERSION:
+    version = doc.get("format_version") if isinstance(doc, dict) else None
+    if type(version) is not int or version != FORMAT_VERSION:  # not true, not 1.0
         raise FormatError("%s: expected a ground truth document with format_version %d"
                           % (source, FORMAT_VERSION))
     raw = doc.get("pairs")

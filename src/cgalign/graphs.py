@@ -222,7 +222,7 @@ def parse_call_graph(doc: dict, source: str = "<memory>") -> CallGraph:
     """Build a CallGraph from a decoded exchange document."""
     header = _require(doc, "header", source)
     version = _require(header, "format_version", source + ".header")
-    if version != FORMAT_VERSION:
+    if type(version) is not int or version != FORMAT_VERSION:  # not true, not 1.0
         raise FormatError("%s: unsupported format_version %r" % (source, version))
     program = _require(header, "program_name", source + ".header")
     if not isinstance(program, str):

@@ -187,7 +187,7 @@ def brute_force_optimum(problem: NapProblem) -> Tuple[Mapping, float]:
     rows, cols = problem.cand_rows, problem.cand_cols
     alpha = problem.alpha
     node_gain = alpha * problem.node_weights
-    link_gain = (1.0 - alpha) * problem.link_w
+    link_gain = problem.link_count * (2.0 * problem.d_edge) * (1.0 - alpha)
     neighbors: List[List[Tuple[int, float]]] = [[] for _ in range(problem.n_candidates)]
     for u, v, lw in zip(problem.link_u.tolist(), problem.link_v.tolist(),
                         link_gain.tolist()):

@@ -65,7 +65,9 @@ class NapProblem:
     pairs (i, j) and (k, l) are both candidates.  Squares are stored only as
     links: one per unordered candidate pair u < v, sorted by (u, v), with the
     number of squares it merges (1 or 2, one per direction).  Every square
-    weighs 2*d_edge, so a link weighs its count times that.
+    weighs 2*d_edge, so a link's weight is derived from its count when it is
+    needed and never stored.  The candidate rows and columns are the
+    similarity matrix's own arrays, shared like its index.
     """
 
     n_a: int
@@ -77,7 +79,6 @@ class NapProblem:
     link_u: np.ndarray         # int64, u < v, sorted
     link_v: np.ndarray         # int64
     link_count: np.ndarray     # uint8, squares merged into each link (1 or 2)
-    link_w: np.ndarray         # float64, link_count * 2*d_edge
     alpha: float
     d_node: float
     d_edge: float
@@ -91,6 +92,11 @@ class NapProblem:
     @property
     def n_squares(self) -> int:
         return int(self.link_count.sum())
+
+    @property
+    def link_w(self) -> np.ndarray:
+        """Weight of each link, link_count * 2*d_edge, as a new float64 array."""
+        return self.link_count * (2.0 * self.d_edge)
 
 
 JOIN_CHUNK = 4_000_000  # edge pairs joined at once; bounds the join's scratch arrays
@@ -146,18 +152,17 @@ def build_problem(sim: SimilarityMatrix, a: CallGraph, b: CallGraph,
         raise ValueError("alpha must lie in [0, 1]")
     if d_node < 0 or d_edge < 0:
         raise ValueError("edit costs must be non-negative")
-    node_weights = sim.scores + (2.0 * d_node - 1.0)
     link_keys, link_count = np.unique(_link_keys(sim, a, b), return_counts=True)
     link_u, link_v = np.divmod(link_keys, max(len(sim), 1))
 
     return NapProblem(n_a=sim.n_a, n_b=sim.n_b,
-                      cand_rows=sim.rows.astype(np.int64),
-                      cand_cols=sim.cols.astype(np.int64),
+                      cand_rows=np.asarray(sim.rows, dtype=np.int64),
+                      cand_cols=np.asarray(sim.cols, dtype=np.int64),
                       index=sim.index,
-                      node_weights=node_weights.astype(np.float64),
+                      node_weights=np.asarray(sim.scores + (2.0 * d_node - 1.0),
+                                              dtype=np.float64),
                       link_u=link_u, link_v=link_v,
                       link_count=link_count.astype(np.uint8),
-                      link_w=link_count * (2.0 * d_edge),
                       alpha=alpha, d_node=d_node, d_edge=d_edge,
                       edges_a=len(a.edges), edges_b=len(b.edges))
 

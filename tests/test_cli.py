@@ -149,6 +149,30 @@ def test_feature_too_large_for_a_float_is_a_one_line_data_error(tmp_path, capsys
     assert err == "error: functions[1].jumps must be finite and non-negative\n"
 
 
+@pytest.mark.parametrize("version", [True, 1.0])
+def test_format_version_that_is_not_the_integer_one_is_a_data_error(tmp_path, capsys,
+                                                                     version):
+    graph = synthetic.generate_graph(4, edge_density=0.3, seed=2)
+    path_a, path_b = write_graph_pair(tmp_path, graph, graph)
+    with open(path_b) as handle:
+        doc = json.load(handle)
+    doc["header"]["format_version"] = version
+    with open(path_b, "w") as handle:
+        json.dump(doc, handle)
+    rc, _, err = run(capsys, ["diff", path_a, path_b])
+    assert rc == 2
+    assert err == "error: %s: unsupported format_version %r\n" % (path_b, version)
+
+    report_path, truth_path = str(tmp_path / "report.json"), str(tmp_path / "truth.json")
+    assert run(capsys, ["diff", path_a, path_a, "--output", report_path])[0] == 0
+    with open(truth_path, "w") as handle:
+        json.dump({"format_version": version, "pairs": []}, handle)
+    rc, _, err = run(capsys, ["eval", report_path, truth_path])
+    assert rc == 2
+    assert err.startswith("error: %s: expected a ground truth document" % truth_path)
+    assert len(err.splitlines()) == 1
+
+
 def test_diff_writes_report_file(tmp_path, capsys):
     graph = synthetic.generate_graph(5, edge_density=0.3, seed=2)
     path_a, path_b = write_graph_pair(tmp_path, graph, graph)
@@ -321,6 +345,7 @@ def test_generate_mutation_flag_validation(tmp_path, capsys):
                               "--mutate", "insert=2"])
     assert rc == 2
     assert "--out-b" in err
+    assert list(tmp_path.iterdir()) == []  # nothing written
 
     rc, _, err = run(capsys, ["generate", "--n", "4", "--out", out,
                               "--mutate", "bogus=1",
@@ -328,6 +353,7 @@ def test_generate_mutation_flag_validation(tmp_path, capsys):
                               "--out-truth", str(tmp_path / "t.json")])
     assert rc == 2
     assert "bogus" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_diff_unwritable_output_is_a_data_error(tmp_path, capsys):

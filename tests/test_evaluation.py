@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from cgalign import (CompositionError, FormatError, GroundTruth, Mapping,
                      extrapolate, load_ground_truth, mapping_to_keys,
                      save_ground_truth, score)
+from cgalign.evaluation import parse_ground_truth
 
 from conftest import make_graph
 
@@ -34,6 +35,13 @@ def test_ground_truth_bad_key_type(tmp_path):
     path.write_text('{"format_version": 1, "pairs": [["a", 1.5]]}')
     with pytest.raises(FormatError, match="pairs\\[0\\]"):
         load_ground_truth(str(path))
+
+
+@pytest.mark.parametrize("version", [True, 1.0, "1", 2, None])
+def test_ground_truth_format_version_must_be_the_integer_one(version):
+    with pytest.raises(FormatError, match="format_version 1"):
+        parse_ground_truth({"format_version": version, "pairs": []}, source="t.json")
+    assert len(parse_ground_truth({"format_version": 1, "pairs": []})) == 0
 
 
 def test_extrapolate_identity_chain():

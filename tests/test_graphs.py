@@ -230,7 +230,7 @@ def _number(value, where):
         raise FormatError("%s must be a number" % where)
     try:
         finite = math.isfinite(value)
-    except OverflowError:  # the one departure: this was raised for an int too large for a float
+    except OverflowError:  # a departure: this was raised for an int too large for a float
         finite = False
     if not finite or value < 0:
         raise FormatError("%s must be finite and non-negative" % where)
@@ -272,7 +272,7 @@ def reference_parse(doc, source="<memory>"):
     """(program, classes, feature rows, order, names, sorted edges, duplicates) of a document."""
     header = _require(doc, "header", source)
     version = _require(header, "format_version", source + ".header")
-    if version != 1:
+    if type(version) is not int or version != 1:  # a departure: this accepted true and 1.0
         raise FormatError("%s: unsupported format_version %r" % (source, version))
     program = _require(header, "program_name", source + ".header")
     if not isinstance(program, str):
@@ -408,6 +408,10 @@ CORRUPTIONS = {
     "missing header": (_drop(("header",)), "missing required key 'header'"),
     "missing format_version": (_drop(("header", "format_version")), "format_version"),
     "format_version 2": (_set(("header", "format_version"), 2), "unsupported format_version"),
+    "format_version true": (_set(("header", "format_version"), True),
+                            "unsupported format_version True"),
+    "format_version 1.0": (_set(("header", "format_version"), 1.0),
+                           "unsupported format_version 1.0"),
     "missing program_name": (_drop(("header", "program_name")), "program_name"),
     "program_name int": (_set(("header", "program_name"), 7), "program_name must be a string"),
     "classes not a list": (_set(("header", "instruction_classes"), "arith"), "list of strings"),

@@ -1,5 +1,7 @@
 """Alignment problem assembly, its objective, and the two edit-cost routes."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -359,3 +361,28 @@ def test_dense_index_is_the_one_candidate_lookup(case):
             nap.candidate_indices(p, Mapping.from_pairs([tuple(pruned[-1].tolist())]))
     with pytest.raises(MappingError, match="outside the problem"):
         nap.candidate_indices(p, Mapping.from_pairs([(-1, 0)]))
+
+
+@pytest.mark.parametrize("sparsity", [0.0, 0.4])
+def test_problem_stores_each_fact_once(sparsity):
+    a = generate_graph(20, edge_density=0.3, seed=45, name="A")
+    b = generate_graph(17, edge_density=0.3, seed=46, name="B")
+    sim = build_similarity_matrix(a, b, SimilarityConfig(sparsity_ratio=sparsity))
+    d_edge = 0.3
+    p = build_problem(sim, a, b, d_edge=d_edge)
+    n_link = len(p.link_u)
+    assert n_link > 0 and n_link != p.n_candidates
+    # links are (u, v, count) only: no stored float64 array of link length
+    for field in dataclasses.fields(p):
+        value = getattr(p, field.name)
+        if isinstance(value, np.ndarray) and value.shape == (n_link,):
+            assert value.dtype != np.float64, field.name
+    # the candidates are the similarity matrix's own arrays
+    assert np.shares_memory(p.cand_rows, sim.rows)
+    assert np.shares_memory(p.cand_cols, sim.cols)
+    # the derived weights, bit for bit those of int64 counts
+    expected = p.link_count.astype(np.int64) * (2 * d_edge)
+    assert p.link_w.dtype == np.float64
+    assert p.link_w.tobytes() == expected.tobytes()
+    with pytest.raises(AttributeError):
+        p.link_w = expected
