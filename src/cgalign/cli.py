@@ -114,8 +114,8 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--out", required=True, help="path for the base graph")
     gen.add_argument("--mutate",
                      help="comma list like insert=2,delete=1,perturb=3,rewire=2")
-    gen.add_argument("--out-b", help="path for the mutated graph")
-    gen.add_argument("--out-truth", help="path for the ground truth")
+    gen.add_argument("--out-b", help="path for the mutated graph (with --mutate)")
+    gen.add_argument("--out-truth", help="path for the ground truth (with --mutate)")
     gen.set_defaults(func=cmd_generate)
     return parser
 
@@ -334,6 +334,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     if args.command == "eval" and (args.program_a is None) != (args.program_b is None):
         parser.error("eval: --program-a and --program-b go together")
+    if (args.command == "generate" and args.mutate is None
+            and (args.out_b is not None or args.out_truth is not None)):
+        parser.error("generate: --out-b and --out-truth need --mutate")
     try:
         return args.func(args)
     except DataError as exc:

