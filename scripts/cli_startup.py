@@ -1,8 +1,9 @@
 """Fresh-process wall time of each cgalign subcommand.
 
-Generates one mutated pair with `cgalign generate`, then runs `-h`,
-`generate`, `diff`, `ged` and `eval` on it, each in a new interpreter
-(`python -m cgalign.cli ...`), and prints the median, lowest and highest
+Generates one mutated pair with `cgalign generate` (seed 11; 5% of the
+functions inserted, 5% deleted, 10% perturbed, and n/10 calls rewired),
+then runs `-h`, `generate`, `diff`, `ged` and `eval` on it, each in a new
+interpreter (`python -m cgalign.cli ...`), and prints the median, lowest and highest
 wall time per subcommand over --runs runs.  Each time covers the whole
 process: interpreter start, imports, the command's work and exit, which is
 what a user who runs one diff per pair of programs waits for.
@@ -19,6 +20,7 @@ import sys
 import tempfile
 import time
 
+SEED = 11
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
@@ -37,26 +39,21 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--n", type=int, default=120, help="functions in the base graph")
     parser.add_argument("--density", type=float, default=0.025, help="call edge density")
-    parser.add_argument("--mutate", help="mutation of the second graph, as for cgalign "
-                        "generate (default: 5%% inserted, 5%% deleted, 10%% perturbed "
-                        "functions and n/10 rewired calls)")
     parser.add_argument("--max-iters", type=int, default=12,
                         help="belief propagation iteration cap of the timed diff")
-    parser.add_argument("--seed", type=int, default=11)
     parser.add_argument("--runs", type=int, default=10, help="fresh processes per subcommand")
     args = parser.parse_args(argv)
     if args.runs < 1:
         parser.error("--runs must be at least 1")
 
-    mutate = args.mutate or "insert={0},delete={0},perturb={1},rewire={1}".format(
-        args.n // 20, args.n // 10)
+    mutate = "insert={0},delete={0},perturb={1},rewire={1}".format(args.n // 20, args.n // 10)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     with tempfile.TemporaryDirectory() as work:
         a, b, truth, report = (os.path.join(work, name) for name in
                                ("a.json", "b.json", "truth.json", "report.json"))
         generate = ["generate", "--n", str(args.n), "--density", str(args.density),
-                    "--seed", str(args.seed), "--out", a, "--mutate", mutate,
+                    "--seed", str(SEED), "--out", a, "--mutate", mutate,
                     "--out-b", b, "--out-truth", truth]
         timed(generate, env)  # writes the pair; each timed run rewrites the same bytes
         commands = [

@@ -5,8 +5,9 @@ exhaustive search for tiny instances.
 The kernel's assignment is scipy's compiled `linear_sum_assignment`.  It is
 loaded once, at import, straight from its extension file in the scipy
 package directory, without running `scipy.optimize`, whose import costs
-several times as much as numpy's.  Where that file is missing or does not
-load, the public `scipy.optimize` import supplies the same routine.
+several times as much as numpy's; the extension is the only scipy module
+that loading it adds to `sys.modules`.  Where that file is missing or does
+not load, the public `scipy.optimize` import supplies the same routine.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from __future__ import annotations
 import heapq
 import importlib.util
 import os
-import sys
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 from math import comb, factorial
 from typing import Dict, List, Optional, Tuple
@@ -34,8 +34,8 @@ def load_linear_sum_assignment(scipy_dir: Optional[str]):
 
     Falls back to `from scipy.optimize import linear_sum_assignment` when
     scipy_dir is None or holds no loadable extension.  Loading the extension
-    registers it in sys.modules; that entry is removed again unless it was
-    there before, so no scipy module shows as imported.
+    registers it in sys.modules as `scipy.optimize._lsap`, neither `scipy`
+    nor `scipy.optimize`; a later `import scipy.optimize` reuses that entry.
     """
     spec = None
     if scipy_dir is not None:
@@ -43,16 +43,12 @@ def load_linear_sum_assignment(scipy_dir: Optional[str]):
                             (ExtensionFileLoader, EXTENSION_SUFFIXES))
         spec = finder.find_spec(LSAP_MODULE)
     if spec is not None:
-        registered = LSAP_MODULE in sys.modules
         try:
             module = importlib.util.module_from_spec(spec)
             spec.loader.exec_module(module)
             return module.linear_sum_assignment
         except ImportError:  # a file of that name that is not a loadable extension
             pass
-        finally:
-            if not registered:
-                sys.modules.pop(LSAP_MODULE, None)
     from scipy.optimize import linear_sum_assignment as public
     return public
 
