@@ -161,21 +161,28 @@ def _key_to_id(key, graph: CallGraph, names: dict, side: str) -> int:
 
 
 def _solve(args, sim, a: CallGraph, b: CallGraph):
-    problem = nap.build_problem(sim, a, b, alpha=args.alpha,
-                                d_node=args.d_node, d_edge=args.d_edge)
-    if args.matcher == "mwm":
-        mapping = matchers.max_weight_matching(problem.cand_rows, problem.cand_cols,
-                                               problem.node_weights)
-        iterations, converged = 0, True
-    elif args.matcher == "mcs":
-        mapping = matchers.solve_mcs_greedy(problem, a, b, k=args.k)
-        iterations, converged = 0, True
-    else:
+    """The mapping, the problem its report is scored on, and BP's iterations.
+
+    Only belief propagation reads the links between all candidates; the
+    baselines match on the candidates alone, and their mapping is scored on
+    the problem over its own pairs, which gives the same values.
+    """
+    if args.matcher == "nap":
+        problem = nap.build_problem(sim, a, b, alpha=args.alpha,
+                                    d_node=args.d_node, d_edge=args.d_edge)
         config = bp.BpConfig(epsilon=args.epsilon, max_iterations=args.max_iters,
                              damping=args.damping, threads=args.threads)
         mapping, diag = bp.solve_nap(problem, config)
-        iterations, converged = diag.iterations, diag.converged
-    return problem, mapping, iterations, converged
+        return problem, mapping, diag.iterations, diag.converged
+    candidates = nap.build_candidates(sim, d_node=args.d_node)
+    if args.matcher == "mwm":
+        mapping = matchers.max_weight_matching(candidates.cand_rows, candidates.cand_cols,
+                                               candidates.node_weights)
+    else:
+        mapping = matchers.solve_mcs_greedy(candidates, a, b, k=args.k)
+    problem = nap.mapping_problem(sim, a, b, mapping, alpha=args.alpha,
+                                  d_node=args.d_node, d_edge=args.d_edge)
+    return problem, mapping, 0, True
 
 
 def cmd_diff(args) -> int:

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import SearchSpaceError
 from .graphs import CallGraph
-from .nap import Mapping, NapProblem
+from .nap import Candidates, Mapping, NapProblem
 
 BRUTE_FORCE_LIMIT = 10_000_000  # refuse to enumerate more mappings than this
 LSAP_MODULE = "scipy.optimize._lsap"  # the extension behind the public routine
@@ -97,7 +97,7 @@ def solve_mwm(weights: Dict[Tuple[int, int], float]) -> Mapping:
                                np.fromiter(weights.values(), float, len(weights)))
 
 
-def node_weight_map(problem: NapProblem) -> Dict[Tuple[int, int], float]:
+def node_weight_map(problem: Candidates) -> Dict[Tuple[int, int], float]:
     return {(int(i), int(j)): float(w)
             for i, j, w in zip(problem.cand_rows, problem.cand_cols,
                                problem.node_weights)}
@@ -129,9 +129,12 @@ def _k_hop(adjacency: List[List[int]], start: int, k: int) -> List[int]:
     return sorted(reached)
 
 
-def solve_mcs_greedy(problem: NapProblem, a: CallGraph, b: CallGraph,
+def solve_mcs_greedy(problem: Candidates, a: CallGraph, b: CallGraph,
                      k: int = 2) -> Mapping:
     """Greedy common-structure matcher.
+
+    Reads only the candidates and their node weights, so `problem` may be a
+    NapProblem or the Candidates of nap.build_candidates, which has no links.
 
     Seeds on the best-weight candidate whose endpoints both have at least
     one call edge, then repeatedly matches the best candidate within the

@@ -16,7 +16,7 @@ what makes maximizing the alignment value the same as minimizing edit cost.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Tuple
+from typing import Iterable, List, Tuple, Union
 
 import numpy as np
 
@@ -33,12 +33,22 @@ class Mapping:
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[Tuple[int, int]]) -> "Mapping":
+        """The mapping of these pairs.
+
+        Raises MappingError naming the smallest function id of A used twice,
+        else that of B, and the first two pairs that use it.
+        """
         pairs = frozenset((int(i), int(j)) for i, j in pairs)
-        rows = [i for i, _ in pairs]
-        cols = [j for _, j in pairs]
-        if len(set(rows)) != len(pairs) or len(set(cols)) != len(pairs):
-            raise MappingError("one-to-one constraint violated")
-        return cls(pairs)
+        if len({i for i, _ in pairs}) == len(pairs) == len({j for _, j in pairs}):
+            return cls(pairs)
+        for side, program in ((0, "A"), (1, "B")):
+            ids = sorted(pair[side] for pair in pairs)
+            repeated = next((x for x, y in zip(ids, ids[1:]) if x == y), None)
+            if repeated is not None:
+                first, second = sorted(pair for pair in pairs if pair[side] == repeated)[:2]
+                raise MappingError("one-to-one constraint violated: function %d of program "
+                                   "%s is in pairs (%d, %d) and (%d, %d)"
+                                   % (repeated, program, *first, *second))
 
     @classmethod
     def empty(cls) -> "Mapping":
@@ -55,19 +65,12 @@ class Mapping:
 
 
 @dataclass
-class NapProblem:
-    """Sparse quadratic alignment problem over retained candidate pairs.
+class Candidates:
+    """Retained candidate pairs and their node weights: all a linear matcher reads.
 
-    Candidates are stored in lexicographic (row, col) order, the order of the
-    SimilarityMatrix the problem is built over, so both share its dense
+    Candidates are stored in the order of the SimilarityMatrix they come
+    from, lexicographic (row, col), and share its rows, columns and dense
     `index`: the candidate position of each pair (i, j), or -1 if pruned.
-    A square is a pair of call edges i->k in A and j->l in B whose endpoint
-    pairs (i, j) and (k, l) are both candidates.  Squares are stored only as
-    links: one per unordered candidate pair u < v, sorted by (u, v), with the
-    number of squares it merges (1 or 2, one per direction).  Every square
-    weighs 2*d_edge, so a link's weight is derived from its count when it is
-    needed and never stored.  The candidate rows and columns are the
-    similarity matrix's own arrays, shared like its index.
     """
 
     n_a: int
@@ -76,6 +79,26 @@ class NapProblem:
     cand_cols: np.ndarray      # int64
     index: np.ndarray          # int64 (n_a, n_b), candidate position or -1
     node_weights: np.ndarray   # float64, s + 2*d_node - 1
+
+    @property
+    def n_candidates(self) -> int:
+        return len(self.node_weights)
+
+
+@dataclass
+class NapProblem(Candidates):
+    """Sparse quadratic alignment problem: candidates plus the links between them.
+
+    A square is a pair of call edges i->k in A and j->l in B whose endpoint
+    pairs (i, j) and (k, l) are both candidates.  Squares are stored only as
+    links: one per unordered candidate pair u < v, sorted by (u, v), with the
+    number of squares it merges (1 or 2, one per direction).  Every square
+    weighs 2*d_edge, so a link's weight is derived from its count when it is
+    needed and never stored.  Only belief propagation needs the links among
+    all candidates; a single mapping is scored on mapping_problem's problem
+    over its own pairs.
+    """
+
     link_u: np.ndarray         # int64, u < v, sorted
     link_v: np.ndarray         # int64
     link_count: np.ndarray     # uint8, squares merged into each link (1 or 2)
@@ -84,10 +107,6 @@ class NapProblem:
     d_edge: float
     edges_a: int
     edges_b: int
-
-    @property
-    def n_candidates(self) -> int:
-        return len(self.node_weights)
 
     @property
     def n_squares(self) -> int:
@@ -144,6 +163,18 @@ def _link_keys(sim: SimilarityMatrix, a: CallGraph, b: CallGraph) -> np.ndarray:
     return np.concatenate(parts)
 
 
+def build_candidates(sim: SimilarityMatrix, d_node: float = 0.5) -> Candidates:
+    """A similarity matrix's candidates with node weights s + 2*d_node - 1, no links."""
+    if d_node < 0:
+        raise ValueError("edit costs must be non-negative")
+    return Candidates(n_a=sim.n_a, n_b=sim.n_b,
+                      cand_rows=np.asarray(sim.rows, dtype=np.int64),
+                      cand_cols=np.asarray(sim.cols, dtype=np.int64),
+                      index=sim.index,
+                      node_weights=np.asarray(sim.scores + (2.0 * d_node - 1.0),
+                                              dtype=np.float64))
+
+
 def build_problem(sim: SimilarityMatrix, a: CallGraph, b: CallGraph,
                   alpha: float = 0.75, d_node: float = 0.5,
                   d_edge: float = 0.5) -> NapProblem:
@@ -154,36 +185,45 @@ def build_problem(sim: SimilarityMatrix, a: CallGraph, b: CallGraph,
         raise ValueError("edit costs must be non-negative")
     link_keys, link_count = np.unique(_link_keys(sim, a, b), return_counts=True)
     link_u, link_v = np.divmod(link_keys, max(len(sim), 1))
-
-    return NapProblem(n_a=sim.n_a, n_b=sim.n_b,
-                      cand_rows=np.asarray(sim.rows, dtype=np.int64),
-                      cand_cols=np.asarray(sim.cols, dtype=np.int64),
-                      index=sim.index,
-                      node_weights=np.asarray(sim.scores + (2.0 * d_node - 1.0),
-                                              dtype=np.float64),
-                      link_u=link_u, link_v=link_v,
+    return NapProblem(**vars(build_candidates(sim, d_node)), link_u=link_u, link_v=link_v,
                       link_count=link_count.astype(np.uint8),
                       alpha=alpha, d_node=d_node, d_edge=d_edge,
                       edges_a=len(a.edges), edges_b=len(b.edges))
 
 
-def candidate_indices(problem: NapProblem, mapping: Mapping) -> np.ndarray:
+def candidate_indices(candidates: Union[Candidates, SimilarityMatrix],
+                      mapping: Mapping) -> np.ndarray:
     """Candidate index per mapped pair; raises if any pair was pruned."""
     if len(mapping) == 0:
         return np.empty(0, dtype=np.int64)
     pairs = np.asarray(mapping.sorted_pairs(), dtype=np.int64)
     # checked before the gather, where a negative pair would wrap to another cell
-    out_of_range = ((pairs[:, 0] < 0) | (pairs[:, 0] >= problem.n_a)
-                    | (pairs[:, 1] < 0) | (pairs[:, 1] >= problem.n_b))
+    out_of_range = ((pairs[:, 0] < 0) | (pairs[:, 0] >= candidates.n_a)
+                    | (pairs[:, 1] < 0) | (pairs[:, 1] >= candidates.n_b))
     if out_of_range.any():
         bad = pairs[np.argmax(out_of_range)]
         raise MappingError("pair (%d, %d) is outside the problem" % (bad[0], bad[1]))
-    pos = problem.index[pairs[:, 0], pairs[:, 1]]
+    pos = candidates.index[pairs[:, 0], pairs[:, 1]]
     pruned = pos < 0
     if pruned.any():
         bad = pairs[np.argmax(pruned)]
         raise MappingError("pair (%d, %d) is not a retained candidate" % (bad[0], bad[1]))
     return pos
+
+
+def mapping_problem(sim: SimilarityMatrix, a: CallGraph, b: CallGraph, mapping: Mapping,
+                    alpha: float = 0.75, d_node: float = 0.5,
+                    d_edge: float = 0.5) -> NapProblem:
+    """The problem build_problem makes over the mapping's own candidates alone.
+
+    Its links are exactly the full problem's links with both ends mapped, so
+    nap_objective, edit_cost and count_squares of `mapping` on it equal their
+    values on the full problem bit for bit, for a join over at most
+    min(n_a, n_b) candidates.  Raises MappingError like candidate_indices.
+    """
+    pos = candidate_indices(sim, mapping)
+    mapped = SimilarityMatrix(sim.n_a, sim.n_b, sim.rows[pos], sim.cols[pos], sim.scores[pos])
+    return build_problem(mapped, a, b, alpha=alpha, d_node=d_node, d_edge=d_edge)
 
 
 def _gain_parts(problem: NapProblem, mapping: Mapping) -> Tuple[float, float, int]:
@@ -234,9 +274,14 @@ def edit_cost(problem: NapProblem, mapping: Mapping) -> float:
 def ged_cost_direct(a: CallGraph, b: CallGraph, mapping: Mapping,
                     sim: SimilarityMatrix, d_node: float = 0.5,
                     d_edge: float = 0.5) -> float:
-    """Edit cost via the alignment identity, on a problem built for it."""
-    return edit_cost(build_problem(sim, a, b, alpha=0.5, d_node=d_node, d_edge=d_edge),
-                     mapping)
+    """Edit cost via the alignment identity, on a problem built for it.
+
+    The problem is mapping_problem's, over the mapped candidates alone: it
+    is still build_problem's join and the identity's arithmetic, not the
+    edit path's accounting, so the two routes stay independent.
+    """
+    return edit_cost(mapping_problem(sim, a, b, mapping, alpha=0.5,
+                                     d_node=d_node, d_edge=d_edge), mapping)
 
 
 def ged_cost_editpath(a: CallGraph, b: CallGraph, mapping: Mapping,

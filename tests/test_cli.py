@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from cgalign import cli, evaluation, matchers, synthetic
+from cgalign import cli, evaluation, matchers, nap, similarity, synthetic
 from cgalign.graphs import load_call_graph, save_call_graph
 
 
@@ -301,7 +301,55 @@ def test_ged_rejects_duplicate_column(tmp_path, capsys):
         json.dump({"matched": [[0, 0], [1, 0]]}, handle)
     rc, out, err = run(capsys, ["ged", path_a, path_b, report_path])
     assert rc == 2
-    assert "constraint violated" in err
+    assert err == ("error: one-to-one constraint violated: function 0 of program B "
+                   "is in pairs (0, 0) and (1, 0)\n")
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """The candidate count of every nap.build_problem call, in call order."""
+    real, sizes = nap.build_problem, []
+
+    def recording(sim, *args, **kwargs):
+        sizes.append(len(sim))
+        return real(sim, *args, **kwargs)
+
+    monkeypatch.setattr(nap, "build_problem", recording)
+    return sizes
+
+
+@pytest.mark.parametrize("sparsity", ["0", "0.5"])
+def test_only_belief_propagation_builds_the_full_problem(tmp_path, capsys, builds, sparsity):
+    base = synthetic.generate_graph(30, edge_density=0.2, seed=21)
+    other, _ = synthetic.mutate(
+        base, synthetic.MutationSpec(insert=2, delete=2, perturb=4, rewire=3), seed=22)
+    path_a, path_b = write_graph_pair(tmp_path, base, other)
+    costs = ["--sparsity", sparsity, "--d-node", "0.4", "--d-edge", "0.3"]
+    sim = similarity.build_similarity_matrix(
+        base, other, similarity.SimilarityConfig(sparsity_ratio=float(sparsity)))
+    full = nap.build_problem(sim, base, other, alpha=0.6, d_node=0.4, d_edge=0.3)
+    builds.clear()
+
+    run(capsys, ["diff", path_a, path_b, "--alpha", "0.6",
+                 "--output", str(tmp_path / "nap.json")] + costs)
+    assert builds == [len(sim)]
+    for matcher in ("mwm", "mcs"):
+        builds.clear()
+        report = run_json(capsys, ["diff", path_a, path_b, "--matcher", matcher, "--alpha",
+                                   "0.6", "--output", str(tmp_path / (matcher + ".json"))]
+                          + costs)
+        assert builds == [len(report["matched"])] and len(report["matched"]) < len(sim)
+        mapping = nap.Mapping.from_pairs((base.names.index(ka), other.names.index(kb))
+                                         for ka, kb, _ in report["matched"])
+        assert report["objective"] == nap.nap_objective(full, mapping)
+        assert report["ged"] == nap.edit_cost(full, mapping)
+        assert report["squares"] == nap.count_squares(full, mapping) > 0
+    for matcher in ("nap", "mwm", "mcs"):
+        path = str(tmp_path / (matcher + ".json"))
+        builds.clear()
+        assert run_json(capsys, ["ged", path_a, path_b, path] + costs)["difference"] <= 1e-9
+        with open(path) as handle:
+            assert builds == [len(json.load(handle)["matched"])]
 
 
 def test_ged_rejects_non_report_file(tmp_path, capsys):

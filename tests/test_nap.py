@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cgalign import (Mapping, MappingError, baseline_cost, build_problem,
-                     count_squares, generate_graph, ged_cost_direct,
-                     ged_cost_editpath, nap_objective)
+from cgalign import (Candidates, Mapping, MappingError, MutationSpec, NapProblem,
+                     baseline_cost, build_candidates, build_problem, count_squares,
+                     generate_graph, ged_cost_direct, ged_cost_editpath, mapping_problem,
+                     max_weight_matching, mutate, nap_objective, solve_mcs_greedy)
 from cgalign import SimilarityConfig, SimilarityMatrix, build_similarity_matrix, nap
 
 from conftest import dense_sim, make_graph
@@ -31,6 +32,20 @@ def test_mapping_rejects_duplicate_rows():
 def test_mapping_rejects_duplicate_cols():
     with pytest.raises(MappingError, match="one-to-one"):
         Mapping.from_pairs([(0, 1), (2, 1)])
+
+
+@pytest.mark.parametrize("pairs, message", [
+    ([(4, 0), (2, 3), (4, 1), (2, 5)],
+     "function 2 of program A is in pairs (2, 3) and (2, 5)"),
+    ([(0, 7), (3, 2), (1, 2), (5, 7)],
+     "function 2 of program B is in pairs (1, 2) and (3, 2)"),
+    ([(0, 7), (3, 2), (3, 7)],
+     "function 3 of program A is in pairs (3, 2) and (3, 7)"),
+])
+def test_mapping_names_the_first_function_used_twice(pairs, message):
+    with pytest.raises(MappingError) as caught:
+        Mapping.from_pairs(pairs)
+    assert str(caught.value) == "one-to-one constraint violated: " + message
 
 
 def test_mapping_basics():
@@ -386,3 +401,82 @@ def test_problem_stores_each_fact_once(sparsity):
     assert p.link_w.tobytes() == expected.tobytes()
     with pytest.raises(AttributeError):
         p.link_w = expected
+
+
+def full_and_mapped_cases():
+    """(sparsity, a, b, sim, mappings): seeded pairs whose calls go both ways."""
+    rng = np.random.default_rng(11)
+    base = generate_graph(30, edge_density=0.25, seed=61, name="A")
+    other, _ = mutate(base, MutationSpec(insert=2, delete=2, perturb=4, rewire=3), seed=62)
+    for sparsity in (0.0, 0.5, 0.9):
+        sim = build_similarity_matrix(base, other, SimilarityConfig(sparsity_ratio=sparsity))
+        full = build_problem(sim, base, other)
+        mappings = [Mapping.empty(),
+                    max_weight_matching(full.cand_rows, full.cand_cols, full.node_weights),
+                    solve_mcs_greedy(full, base, other)]
+        mappings += [retained_mapping(rng, full) for _ in range(10)]
+        yield sparsity, base, other, sim, mappings
+
+
+@pytest.mark.parametrize("case", list(full_and_mapped_cases()), ids=lambda case: str(case[0]))
+def test_mapping_problem_scores_like_the_full_problem(case):
+    sparsity, a, b, sim, mappings = case
+    alpha, d_node, d_edge = 0.6, 0.4, 0.35
+    full = build_problem(sim, a, b, alpha=alpha, d_node=d_node, d_edge=d_edge)
+    at_half = build_problem(sim, a, b, alpha=0.5, d_node=d_node, d_edge=d_edge)
+    mutual = False
+    for m in mappings:
+        small = mapping_problem(sim, a, b, m, alpha=alpha, d_node=d_node, d_edge=d_edge)
+        assert small.n_candidates == len(m)
+        assert nap_objective(small, m) == nap_objective(full, m)
+        assert nap.edit_cost(small, m) == nap.edit_cost(full, m)
+        assert count_squares(small, m) == count_squares(full, m)
+        assert ged_cost_direct(a, b, m, sim, d_node, d_edge) == nap.edit_cost(at_half, m)
+        # its links are the full problem's links with both ends mapped, renumbered
+        midx = nap.candidate_indices(full, m)
+        both = np.isin(full.link_u, midx) & np.isin(full.link_v, midx)
+        assert np.array_equal(np.searchsorted(midx, full.link_u[both]), small.link_u)
+        assert np.array_equal(np.searchsorted(midx, full.link_v[both]), small.link_v)
+        assert np.array_equal(full.link_count[both], small.link_count)
+        mutual = mutual or 2 in small.link_count.tolist()
+    assert mutual or sparsity == 0.9  # a mapping realized a link of two squares
+    assert max(count_squares(full, m) for m in mappings) > 0
+
+
+def test_mapping_problem_rejects_pairs_like_candidate_indices():
+    a = generate_graph(9, edge_density=0.3, seed=43, name="A")
+    b = generate_graph(7, edge_density=0.3, seed=44, name="B")
+    sim = build_similarity_matrix(a, b, SimilarityConfig(sparsity_ratio=0.5))
+    pruned = tuple(np.argwhere(sim.index < 0)[0].tolist())
+    kept = (int(sim.rows[0]), int(sim.cols[0]))
+    cases = [([(-1, 0)], "pair (-1, 0) is outside the problem"),
+             ([kept, (9, 6)], "pair (9, 6) is outside the problem"),
+             ([pruned], "pair (%d, %d) is not a retained candidate" % pruned)]
+    for pairs, message in cases:
+        m = Mapping.from_pairs(pairs)
+        for score in (lambda: mapping_problem(sim, a, b, m),
+                      lambda: ged_cost_direct(a, b, m, sim)):
+            with pytest.raises(MappingError) as caught:
+                score()
+            assert str(caught.value) == message
+
+
+def test_candidates_are_the_problem_without_links():
+    a = generate_graph(20, edge_density=0.3, seed=45, name="A")
+    b = generate_graph(17, edge_density=0.3, seed=46, name="B")
+    sim = build_similarity_matrix(a, b, SimilarityConfig(sparsity_ratio=0.4))
+    candidates = build_candidates(sim, d_node=0.3)
+    problem = build_problem(sim, a, b, d_node=0.3)
+    assert type(candidates) is Candidates and isinstance(problem, Candidates)
+    assert not isinstance(candidates, NapProblem) and not hasattr(candidates, "link_u")
+    for field in dataclasses.fields(Candidates):
+        mine, theirs = getattr(candidates, field.name), getattr(problem, field.name)
+        if isinstance(mine, np.ndarray):
+            assert mine.dtype == theirs.dtype and mine.tobytes() == theirs.tobytes()
+        else:
+            assert mine == theirs
+    assert candidates.index is sim.index and np.shares_memory(candidates.cand_rows, sim.rows)
+    assert candidates.n_candidates == problem.n_candidates
+    assert solve_mcs_greedy(candidates, a, b) == solve_mcs_greedy(problem, a, b)
+    with pytest.raises(ValueError, match="non-negative"):
+        build_candidates(sim, d_node=-0.1)
