@@ -19,26 +19,24 @@ half of an update is one pass over blocks of at most LINK_BLOCK links: each
 block gathers its new messages, damps them, takes their largest change and
 clamps the next support inputs through small scratch buffers that stay in
 cache, and writes the results in place into link arrays the state allocates
-once.  Nothing here depends on dict ordering or threading, which keeps runs
-bit-identical.
+once.  One thread runs it all (BpConfig.threads, accepted for compatibility,
+changes nothing), and nothing depends on dict ordering: runs are bit-identical.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
 
 from .matchers import max_weight_matching
-from .nap import Mapping, NapProblem, nap_objective
+from .nap import Mapping, NapProblem, check_non_negative, nap_objective
 
 MESSAGE_TOL = 1e-9  # max-norm change that counts as convergence
 TIE_TOL = 1e-12     # message differences below this are treated as ties
 LINK_BLOCK = 16_384  # links per block: the ~1.3 MB of link arrays a block touches fit in L2
-MIN_CHUNK = 1024     # fewest elements worth a worker thread of their own
 MODE_STABLE_WINDOW = 20  # stop after this many iterations of an unchanged mode
 
 
@@ -47,17 +45,16 @@ class BpConfig:
     epsilon: float = 0.5          # penalty for candidates beaten in their row/column
     max_iterations: int = 1000
     damping: float = 0.0          # blend factor toward the previous messages
-    threads: int = 1              # chunked link updates; results are identical
+    threads: int = 1              # accepted for compatibility: BP runs on one thread
 
     def __post_init__(self):
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be non-negative")
-        if self.max_iterations < 0:
-            raise ValueError("max_iterations must be non-negative")
-        if not 0.0 <= self.damping < 1.0:
+        check_non_negative(epsilon=self.epsilon, damping=self.damping)
+        if self.damping >= 1.0:
             raise ValueError("damping must lie in [0, 1)")
-        if self.threads < 1:
-            raise ValueError("threads must be positive")
+        for name, value, low in (("max_iterations", self.max_iterations, 0),
+                                 ("threads", self.threads, 1)):
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+                raise ValueError("%s must be an integer >= %d, not %r" % (name, low, value))
 
 
 class BpState:
@@ -89,17 +86,8 @@ class BpState:
         self._starts_r, self._seg_r = _segments(problem.cand_rows)  # row order = storage order
         self._perm_c = np.lexsort((problem.cand_rows, problem.cand_cols))
         self._starts_c, self._seg_c = _segments(problem.cand_cols[self._perm_c])
-        self._pool = (ThreadPoolExecutor(max_workers=config.threads)
-                      if config.threads > 1 else None)
-        # per link chunk: new h_uv, new h_vu and a temporary, one block each
-        self._scratch = np.empty((_jobs(self, n_link), 3, min(LINK_BLOCK, max(n_link, 1))))
+        self._scratch = np.empty((3, min(LINK_BLOCK, max(n_link, 1))))  # new h_uv, new h_vu, temp
         _beliefs(self)  # sets p_hat and the terms of the next update
-
-    def close(self):
-        """Stop the worker threads; later updates of this state run on one thread."""
-        if self._pool is not None:
-            self._pool.shutdown()
-            self._pool = None
 
     def message_memory_bytes(self) -> int:
         return self.f.nbytes + self.g.nbytes + self.h_uv.nbytes + self.h_vu.nbytes
@@ -127,26 +115,6 @@ def _segments(sorted_ids: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return np.flatnonzero(boundary), np.cumsum(boundary) - 1
 
 
-def _jobs(state: BpState, n: int) -> int:
-    """Chunks for n elements: at most one per thread, each of at least MIN_CHUNK."""
-    if state._pool is None:
-        return 1
-    return max(1, min(state.config.threads, n // MIN_CHUNK))
-
-
-def _run_chunks(state: BpState, n: int, fn):
-    """Apply fn(k, lo, hi) to each chunk k = [lo, hi) of [0, n); chunks write disjoint slices."""
-    jobs = _jobs(state, n)
-    if jobs == 1:
-        fn(0, 0, n)
-        return
-    bounds = np.linspace(0, n, jobs + 1).astype(np.int64)
-    futures = [state._pool.submit(fn, k, int(bounds[k]), int(bounds[k + 1]))
-               for k in range(jobs)]
-    for future in futures:
-        future.result()
-
-
 def _segment_stats(values: np.ndarray, starts: np.ndarray,
                    seg: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Per element: max of its segment, and max of the segment excluding it.
@@ -170,46 +138,39 @@ def _update_links(state: BpState) -> float:
     """Replace h_uv, h_vu and the support inputs in place; return the largest change of h.
 
     Each link reads only its own entries and the belief p_hat of the messages
-    being replaced, so blocks and chunks can go in any order.  The arithmetic
-    is the whole-array update's, element by element, so the bits are the same.
+    being replaced, so blocks can go in any order.  The arithmetic is the
+    whole-array update's, element by element, so the bits are the same.
     """
     problem, p_hat, d = state.problem, state.p_hat, state.config.damping
     link_u, link_v, link_count = problem.link_u, problem.link_v, problem.link_count
     square_w, scale = 2.0 * problem.d_edge, 1.0 - problem.alpha
     h_uv, h_vu, in_u, in_v = state.h_uv, state.h_vu, state._in_u, state._in_v
-    scratch = state._scratch
-    changes = np.zeros(len(scratch))
-
-    def update(k, lo, hi):
-        new_uv, new_vu, tmp = scratch[k]
-        block, largest = len(tmp), 0.0
-        for s in range(lo, hi, block):
-            e = min(s + block, hi)
-            uv, vu, t = new_uv[:e - s], new_vu[:e - s], tmp[:e - s]
-            # link indices are always in range, and "clip" writes out= unbuffered
-            np.take(p_hat, link_u[s:e], out=uv, mode="clip")
-            uv -= in_u[s:e]
-            np.take(p_hat, link_v[s:e], out=vu, mode="clip")
-            vu -= in_v[s:e]
-            for new, old in ((uv, h_uv[s:e]), (vu, h_vu[s:e])):
-                if d > 0.0:
-                    new *= 1.0 - d
-                    np.multiply(old, d, out=t)
-                    new += t
-                np.subtract(new, old, out=t)
-                np.abs(t, out=t)
-                largest = max(largest, float(t.max()))
-                old[...] = new
-            np.multiply(link_count[s:e], square_w, out=t)  # the link weights
-            t *= scale
-            np.add(t, vu, out=in_u[s:e])
-            np.clip(in_u[s:e], 0.0, t, out=in_u[s:e])
-            np.add(t, uv, out=in_v[s:e])
-            np.clip(in_v[s:e], 0.0, t, out=in_v[s:e])
-        changes[k] = largest
-
-    _run_chunks(state, len(h_uv), update)
-    return float(changes.max())
+    new_uv, new_vu, tmp = state._scratch
+    n, block, largest = len(h_uv), len(tmp), 0.0
+    for s in range(0, n, block):
+        e = min(s + block, n)
+        uv, vu, t = new_uv[:e - s], new_vu[:e - s], tmp[:e - s]
+        # link indices are always in range, and "clip" writes out= unbuffered
+        np.take(p_hat, link_u[s:e], out=uv, mode="clip")
+        uv -= in_u[s:e]
+        np.take(p_hat, link_v[s:e], out=vu, mode="clip")
+        vu -= in_v[s:e]
+        for new, old in ((uv, h_uv[s:e]), (vu, h_vu[s:e])):
+            if d > 0.0:
+                new *= 1.0 - d
+                np.multiply(old, d, out=t)
+                new += t
+            np.subtract(new, old, out=t)
+            np.abs(t, out=t)
+            largest = max(largest, float(t.max()))
+            old[...] = new
+        np.multiply(link_count[s:e], square_w, out=t)  # the link weights
+        t *= scale
+        np.add(t, vu, out=in_u[s:e])
+        np.clip(in_u[s:e], 0.0, t, out=in_u[s:e])
+        np.add(t, uv, out=in_v[s:e])
+        np.clip(in_v[s:e], 0.0, t, out=in_v[s:e])
+    return largest
 
 
 def _beliefs(state: BpState) -> None:
@@ -314,28 +275,25 @@ def solve_nap(problem: NapProblem,
     previous_mode, stable = None, 0
 
     steps = config.max_iterations + 1 if problem.n_candidates and config.max_iterations else 0
-    try:
-        for step in range(steps):
-            if step:
-                bp_iterate(problem, state, config)
-                ops_total += state.ops_last
-            mode = estimate_mode(problem, state)
-            objective = nap_objective(problem, mode)
-            trace.append(objective)
-            if objective > best_objective:
-                best, best_objective = mode, objective
-            if state.delta < MESSAGE_TOL:
-                stop_reason, converged = "message_tolerance", True
+    for step in range(steps):
+        if step:
+            bp_iterate(problem, state, config)
+            ops_total += state.ops_last
+        mode = estimate_mode(problem, state)
+        objective = nap_objective(problem, mode)
+        trace.append(objective)
+        if objective > best_objective:
+            best, best_objective = mode, objective
+        if state.delta < MESSAGE_TOL:
+            stop_reason, converged = "message_tolerance", True
+            break
+        if mode == previous_mode:
+            stable += 1
+            if stable >= MODE_STABLE_WINDOW:
+                stop_reason, converged = "mode_stable", True
                 break
-            if mode == previous_mode:
-                stable += 1
-                if stable >= MODE_STABLE_WINDOW:
-                    stop_reason, converged = "mode_stable", True
-                    break
-            else:
-                stable, previous_mode = 0, mode
-    finally:
-        state.close()
+        else:
+            stable, previous_mode = 0, mode
 
     if problem.n_candidates == 0:
         converged, stop_reason = True, "empty"

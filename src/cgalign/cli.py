@@ -21,7 +21,7 @@ from .errors import DataError
 from .graphs import CallGraph, load_call_graph, read_json, save_call_graph, validate_pair
 
 GED_AGREEMENT_TOL = 1e-9
-MAX_THREADS = 64  # fixed cap on diff --threads, so a typo cannot ask for thousands
+MAX_THREADS = 64  # cap on diff --threads, kept for compatibility: BP runs on one thread
 
 
 class _Parser(argparse.ArgumentParser):
@@ -82,8 +82,8 @@ def build_parser() -> argparse.ArgumentParser:
     diff.add_argument("--k", type=_ranged(int, 1), default=2,
                       help="neighborhood radius for the mcs matcher (default 2)")
     diff.add_argument("--threads", type=_ranged(int, 1, MAX_THREADS), default=1,
-                      help="worker threads for belief propagation, 1 to %d (default 1)"
-                      % MAX_THREADS)
+                      help="1 to %d (default 1), accepted for compatibility: belief "
+                      "propagation runs on one thread, and no result depends on it" % MAX_THREADS)
     diff.add_argument("--output", help="write the mapping report to this file")
     diff.add_argument("--json", action="store_true",
                       help="print the report as JSON on stdout")

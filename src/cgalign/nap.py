@@ -16,6 +16,7 @@ what makes maximizing the alignment value the same as minimizing edit cost.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Real
 from typing import Iterable, List, Tuple, Union
 
 import numpy as np
@@ -163,10 +164,16 @@ def _link_keys(sim: SimilarityMatrix, a: CallGraph, b: CallGraph) -> np.ndarray:
     return np.concatenate(parts)
 
 
+def check_non_negative(**values: float) -> None:
+    """Raise ValueError unless each named value is a finite real number >= 0."""
+    for name, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, Real) or not 0 <= value < np.inf:
+            raise ValueError("%s must be finite and non-negative, not %r" % (name, value))
+
+
 def build_candidates(sim: SimilarityMatrix, d_node: float = 0.5) -> Candidates:
     """A similarity matrix's candidates with node weights s + 2*d_node - 1, no links."""
-    if d_node < 0:
-        raise ValueError("edit costs must be non-negative")
+    check_non_negative(d_node=d_node)
     return Candidates(n_a=sim.n_a, n_b=sim.n_b,
                       cand_rows=np.asarray(sim.rows, dtype=np.int64),
                       cand_cols=np.asarray(sim.cols, dtype=np.int64),
@@ -181,8 +188,7 @@ def build_problem(sim: SimilarityMatrix, a: CallGraph, b: CallGraph,
     """Assemble node weights and the links merging squares for a candidate set."""
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")
-    if d_node < 0 or d_edge < 0:
-        raise ValueError("edit costs must be non-negative")
+    check_non_negative(d_node=d_node, d_edge=d_edge)
     link_keys, link_count = np.unique(_link_keys(sim, a, b), return_counts=True)
     link_u, link_v = np.divmod(link_keys, max(len(sim), 1))
     return NapProblem(**vars(build_candidates(sim, d_node)), link_u=link_u, link_v=link_v,

@@ -33,6 +33,21 @@ def test_config_validation():
         BpConfig(threads=0)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("epsilon", float("nan")), ("epsilon", float("inf")), ("epsilon", "0.5"),
+    ("epsilon", True), ("max_iterations", True), ("max_iterations", 2.5),
+    ("max_iterations", "10"), ("threads", 2.5), ("threads", True), ("threads", False),
+    ("threads", np.float64(2.0)), ("damping", float("nan")), ("damping", "0.3"),
+])
+def test_config_rejects_non_finite_or_mistyped_values(field, value):
+    with pytest.raises(ValueError, match=field) as info:
+        BpConfig(**{field: value})
+    assert "\n" not in str(info.value)
+    valid = {"epsilon": np.float64(0.2), "max_iterations": np.int64(3),
+             "threads": np.int64(2), "damping": np.float64(0.5)}
+    assert getattr(BpConfig(**{field: valid[field]}), field) == valid[field]
+
+
 def test_initial_state_is_zero_messages():
     p = problem_of([[0.9, 0.2], [0.2, 0.8]], edges_a=[(0, 1)], edges_b=[(0, 1)])
     st = init_state(p, BpConfig())
@@ -261,7 +276,7 @@ BLOCK_CASES = list(block_cases())
 def test_block_cases_cover_the_edges():
     links = [len(p.link_w) for _, p in BLOCK_CASES]
     assert links[0] == 0
-    assert 2 * bp.MIN_CHUNK <= links[1] < bp.LINK_BLOCK  # several chunks, one block
+    assert 0 < links[1] < bp.LINK_BLOCK  # one block
     assert links[2] > bp.LINK_BLOCK
     assert all(n % bp.LINK_BLOCK and n % 7 for n in links[1:])
 
@@ -283,37 +298,13 @@ def test_blocked_update_matches_whole_array_reference(monkeypatch, case, block, 
     reference = init_state(p, config)
     monkeypatch.setattr(bp, "LINK_BLOCK", block)
     blocked = init_state(p, config)
-    try:
-        for _ in range(8):
-            reference_iterate(p, reference)
-            bp_iterate(p, blocked)
-            assert blocked.delta == reference.delta
-        for name in ("f", "g", "h_uv", "h_vu", "p_hat"):
-            assert np.array_equal(getattr(blocked, name).view(np.int64),
-                                  getattr(reference, name).view(np.int64)), name
-    finally:
-        reference.close()
-        blocked.close()
-
-
-def test_chunks_are_never_smaller_than_min_chunk():
-    p = BLOCK_CASES[1][1]  # 400 candidates, 3,484 links
-    st = init_state(p, BpConfig(threads=8))
-    submitted = []
-    submit = st._pool.submit
-
-    def record(fn, k, lo, hi):
-        submitted.append(hi - lo)
-        return submit(fn, k, lo, hi)
-
-    st._pool.submit = record
-    try:
-        bp_iterate(p, st)
-    finally:
-        st.close()
-    # the candidates run on the calling thread, the links in three chunks
-    assert submitted and min(submitted) >= bp.MIN_CHUNK
-    assert len(submitted) == len(p.link_w) // bp.MIN_CHUNK == 3
+    for _ in range(8):
+        reference_iterate(p, reference)
+        bp_iterate(p, blocked)
+        assert blocked.delta == reference.delta
+    for name in ("f", "g", "h_uv", "h_vu", "p_hat"):
+        assert np.array_equal(getattr(blocked, name).view(np.int64),
+                              getattr(reference, name).view(np.int64)), name
 
 
 def dense_problem():

@@ -546,7 +546,8 @@ for argv in json.loads(sys.argv[1]):
         rc = exc.code
     assert rc == 0, argv
 print(json.dumps({"calls": len(calls), "scipy": sorted(
-    name for name in sys.modules if name == "scipy" or name.startswith("scipy."))}))
+    name for name in sys.modules if name == "scipy" or name.startswith("scipy.")),
+    "futures": "concurrent.futures" in sys.modules}))
 """
 
 
@@ -574,14 +575,16 @@ def test_fresh_commands_import_no_scipy_package(tmp_path, capsys):
         ["eval", report, truth],
         ["ged", path_a, path_b, report],
     ])
-    assert seen == {"calls": 0, "scipy": [matchers.LSAP_MODULE]}
+    assert seen == {"calls": 0, "scipy": [matchers.LSAP_MODULE], "futures": False}
 
 
 def test_fresh_diff_never_imports_scipy_optimize(tmp_path):
     base = synthetic.generate_graph(20, edge_density=0.15, seed=5)
     other, _ = synthetic.mutate(base, synthetic.MutationSpec(insert=2, perturb=4), seed=6)
     path_a, path_b = write_graph_pair(tmp_path, base, other)
-    seen = fresh_process([["diff", path_a, path_b], ["diff", path_a, path_b, "--matcher", "mwm"],
+    seen = fresh_process([["diff", path_a, path_b], ["diff", path_a, path_b, "--threads", "4"],
+                          ["diff", path_a, path_b, "--matcher", "mwm"],
                           ["diff", path_a, path_b, "--matcher", "mcs"]])
     assert seen["calls"] > 0  # the assignment ran, so its loading was exercised
     assert seen["scipy"] == [matchers.LSAP_MODULE]  # so no scipy.optimize
+    assert not seen["futures"]  # belief propagation starts no thread pool

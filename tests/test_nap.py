@@ -480,3 +480,21 @@ def test_candidates_are_the_problem_without_links():
     assert solve_mcs_greedy(candidates, a, b) == solve_mcs_greedy(problem, a, b)
     with pytest.raises(ValueError, match="non-negative"):
         build_candidates(sim, d_node=-0.1)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("d_node", float("nan")), ("d_node", float("inf")), ("d_node", -0.1), ("d_node", "0.5"),
+    ("d_node", True), ("d_edge", float("nan")), ("d_edge", float("inf")), ("d_edge", -1.0),
+    ("d_edge", None),
+])
+def test_build_rejects_non_finite_or_mistyped_costs(field, value):
+    g = generate_graph(30, edge_density=0.1, seed=1)
+    sim = build_similarity_matrix(g, g, SimilarityConfig())
+    builds = [lambda: build_problem(sim, g, g, **{field: value})]
+    if field == "d_node":
+        builds.append(lambda: build_candidates(sim, d_node=value))
+    for build in builds:
+        with pytest.raises(ValueError, match=field) as info:
+            build()
+        assert "\n" not in str(info.value)
+
