@@ -14,13 +14,16 @@ by init_state and once by every bp_iterate.  estimate_mode only rounds it:
 the candidates with positive belief, made one-to-one by max_weight_matching.
 
 Row/column maxima excluding the candidate itself are computed per segment
-with a top-2 trick, so one iteration costs O(candidates + links).  The link
-half of an update is one pass over blocks of at most LINK_BLOCK links: each
-block gathers its new messages, damps them, takes their largest change and
-clamps the next support inputs through small scratch buffers that stay in
-cache, and writes the results in place into link arrays the state allocates
-once.  One thread runs it all (BpConfig.threads, accepted for compatibility,
-changes nothing), and nothing depends on dict ordering: runs are bit-identical.
+with a top-2 trick, so one iteration costs O(candidates + links).  A state
+keeps two arrays per link, h_uv and h_vu.  The link half of an update is
+one pass over blocks of at most LINK_BLOCK links, through scratch buffers
+that stay in cache: each block rebuilds its clamped support inputs from
+the old messages, gathers, damps and diffs the new ones and writes them in
+place, then sums their support into two candidate-length arrays.  The
+candidate half writes into buffers the state owns, so an iteration
+allocates no array the length of the candidates or links.  One thread runs
+it all (BpConfig.threads, accepted for compatibility, changes nothing), and
+nothing depends on dict ordering: runs are bit-identical.
 """
 
 from __future__ import annotations
@@ -63,7 +66,7 @@ class BpState:
     init_state binds a state to its problem and config for good.  p_hat is
     the belief of the current messages: it is computed with them, together
     with the terms the next update reads, so it never lags behind them.
-    The link arrays are allocated here once and updated in place.
+    Every array is allocated here once and then written in place.
     """
 
     def __init__(self, problem: NapProblem, config: BpConfig):
@@ -78,15 +81,17 @@ class BpState:
         self.delta = float("inf")
         self.ops_last = 0
         self._wn = problem.alpha * problem.node_weights
-        # support into u and v, clip(wl + h_vu, 0, wl) and clip(wl + h_uv, 0, wl)
-        # for wl = (link_count * 2*d_edge) * (1 - alpha): with zero messages, wl itself
-        self._in_u = problem.link_count * (2.0 * problem.d_edge)
-        self._in_u *= 1.0 - problem.alpha
-        self._in_v = self._in_u.copy()
         self._starts_r, self._seg_r = _segments(problem.cand_rows)  # row order = storage order
         self._perm_c = np.lexsort((problem.cand_rows, problem.cand_cols))
         self._starts_c, self._seg_c = _segments(problem.cand_cols[self._perm_c])
-        self._scratch = np.empty((3, min(LINK_BLOCK, max(n_link, 1))))  # new h_uv, new h_vu, temp
+        self._pos = np.arange(n_cand, dtype=np.int64)
+        self._mask = np.empty(n_cand, dtype=bool)
+        # the next f and g, the belief, and the support summed at each link's u and v end
+        self._f_next, self._g_next, self.p_hat, self._support_u, self._support_v = \
+            np.zeros((5, n_cand))
+        # per block: new h_uv, new h_vu, link weights, temp
+        self._scratch = np.empty((4, min(LINK_BLOCK, max(n_link, 1))))
+        _update_links(self, update=False)  # the support of the zero messages
         _beliefs(self)  # sets p_hat and the terms of the next update
 
     def message_memory_bytes(self) -> int:
@@ -115,88 +120,125 @@ def _segments(sorted_ids: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return np.flatnonzero(boundary), np.cumsum(boundary) - 1
 
 
-def _segment_stats(values: np.ndarray, starts: np.ndarray,
-                   seg: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Per element: max of its segment, and max of the segment excluding it.
+def _segment_stats(state: BpState, values: np.ndarray, starts: np.ndarray, seg: np.ndarray,
+                   full: np.ndarray, excl: np.ndarray) -> None:
+    """Write per element the max of its segment to full, and the max excluding it to excl.
 
     The exclusive max removes one occurrence of the maximum, so duplicated
-    maxima still see the duplicate.  Empty exclusions come out as -inf.
+    maxima still see the duplicate: excl is full, except at the first
+    maximum of each segment, which gets the max of the rest.  Empty
+    exclusions come out as -inf.  excl doubles as the scratch space.
     """
-    m1 = np.maximum.reduceat(values, starts)
-    full = m1[seg]
-    pos = np.arange(len(values), dtype=np.int64)
-    at_max = values == full
-    first = np.minimum.reduceat(np.where(at_max, pos, len(values)), starts)
-    trimmed = values.copy()
-    trimmed[first] = -np.inf
-    m2 = np.maximum.reduceat(trimmed, starts)
-    excl = np.where(pos == first[seg], m2[seg], full)
-    return full, excl
+    np.take(np.maximum.reduceat(values, starts), seg, out=full, mode="clip")
+    np.equal(values, full, out=state._mask)
+    position = excl.view(np.int64)
+    position.fill(len(values))
+    np.copyto(position, state._pos, where=state._mask)
+    first = np.minimum.reduceat(position, starts)
+    np.copyto(excl, values)
+    excl[first] = -np.inf
+    second = np.maximum.reduceat(excl, starts)
+    np.copyto(excl, full)
+    excl[first] = second
 
 
-def _update_links(state: BpState) -> float:
-    """Replace h_uv, h_vu and the support inputs in place; return the largest change of h.
+def _tie_penalty(full: np.ndarray, values: np.ndarray, epsilon: float, mask: np.ndarray) -> None:
+    """Overwrite full with 0 where values ties its segment's max, else epsilon."""
+    np.subtract(full, values, out=full)
+    np.less(full, TIE_TOL, out=mask)
+    full.fill(epsilon)
+    np.copyto(full, 0.0, where=mask)
 
-    Each link reads only its own entries and the belief p_hat of the messages
-    being replaced, so blocks can go in any order.  The arithmetic is the
-    whole-array update's, element by element, so the bits are the same.
+
+def _clamped(wl: np.ndarray, h: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """clip(wl + h, 0, wl): the support a link message passes on, into out.
+
+    np.maximum then np.minimum give np.clip's bits for any wl but -0.0, at
+    a third of its cost when the bounds are arrays.
+    """
+    np.add(wl, h, out=out)
+    np.maximum(out, 0.0, out=out)
+    return np.minimum(out, wl, out=out)
+
+
+def _damped_change(new: np.ndarray, old: np.ndarray, d: float, tmp: np.ndarray) -> float:
+    """Blend new toward old by the damping d, in place; return the largest |new - old|."""
+    if d > 0.0:
+        new *= 1.0 - d
+        np.multiply(old, d, out=tmp)
+        new += tmp
+    np.subtract(new, old, out=tmp)
+    np.abs(tmp, out=tmp)
+    return float(tmp.max()) if len(tmp) else 0.0
+
+
+def _update_links(state: BpState, update: bool = True) -> float:
+    """Replace h_uv and h_vu in place and sum their support; return the largest change of h.
+
+    A link supports u with clip(wl + h_vu, 0, wl) and v with clip(wl + h_uv,
+    0, wl), for wl = (link_count * 2*d_edge) * (1 - alpha).  Each link reads
+    only its own entries and p_hat, so blocks can go in any order; the
+    arithmetic is the whole-array update's, element by element.  np.add.at
+    sums per candidate in link order, as np.bincount does, so the sums have
+    its bits.  With update False, only sums the current messages' support.
     """
     problem, p_hat, d = state.problem, state.p_hat, state.config.damping
     link_u, link_v, link_count = problem.link_u, problem.link_v, problem.link_count
     square_w, scale = 2.0 * problem.d_edge, 1.0 - problem.alpha
-    h_uv, h_vu, in_u, in_v = state.h_uv, state.h_vu, state._in_u, state._in_v
-    new_uv, new_vu, tmp = state._scratch
+    h_uv, h_vu, support_u, support_v = state.h_uv, state.h_vu, state._support_u, state._support_v
+    support_u.fill(0.0)
+    support_v.fill(0.0)
+    new_uv, new_vu, weights, tmp = state._scratch
     n, block, largest = len(h_uv), len(tmp), 0.0
     for s in range(0, n, block):
         e = min(s + block, n)
-        uv, vu, t = new_uv[:e - s], new_vu[:e - s], tmp[:e - s]
-        # link indices are always in range, and "clip" writes out= unbuffered
-        np.take(p_hat, link_u[s:e], out=uv, mode="clip")
-        uv -= in_u[s:e]
-        np.take(p_hat, link_v[s:e], out=vu, mode="clip")
-        vu -= in_v[s:e]
-        for new, old in ((uv, h_uv[s:e]), (vu, h_vu[s:e])):
-            if d > 0.0:
-                new *= 1.0 - d
-                np.multiply(old, d, out=t)
-                new += t
-            np.subtract(new, old, out=t)
-            np.abs(t, out=t)
-            largest = max(largest, float(t.max()))
-            old[...] = new
-        np.multiply(link_count[s:e], square_w, out=t)  # the link weights
-        t *= scale
-        np.add(t, vu, out=in_u[s:e])
-        np.clip(in_u[s:e], 0.0, t, out=in_u[s:e])
-        np.add(t, uv, out=in_v[s:e])
-        np.clip(in_v[s:e], 0.0, t, out=in_v[s:e])
+        uv, vu, wl, t = new_uv[:e - s], new_vu[:e - s], weights[:e - s], tmp[:e - s]
+        u, v, old_uv, old_vu = link_u[s:e], link_v[s:e], h_uv[s:e], h_vu[s:e]
+        np.multiply(link_count[s:e], square_w, out=wl)
+        wl *= scale
+        if update:
+            # link indices are always in range, and "clip" writes out= unbuffered
+            np.take(p_hat, u, out=uv, mode="clip")
+            uv -= _clamped(wl, old_vu, t)
+            np.take(p_hat, v, out=vu, mode="clip")
+            vu -= _clamped(wl, old_uv, t)
+            largest = max(largest, _damped_change(uv, old_uv, d, t),
+                          _damped_change(vu, old_vu, d, t))
+            old_uv[...], old_vu[...] = uv, vu
+        np.add.at(support_u, u, _clamped(wl, old_vu, t))
+        np.add.at(support_v, v, _clamped(wl, old_uv, t))
     return largest
 
 
 def _beliefs(state: BpState) -> None:
-    """Set p_hat, and the terms the next update reads, from the current messages."""
-    n_cand = state.problem.n_candidates
-    f, g, perm_c, epsilon = state.f, state.g, state._perm_c, state.config.epsilon
-    full_f, excl_f = _segment_stats(f, state._starts_r, state._seg_r)
-    full_g_c, excl_g_c = _segment_stats(g[perm_c], state._starts_c, state._seg_c)
-    full_g = np.empty_like(full_g_c)
-    excl_g = np.empty_like(excl_g_c)
-    full_g[perm_c] = full_g_c
-    excl_g[perm_c] = excl_g_c
+    """Set p_hat, and the terms the next update reads, from the messages and their support.
 
-    phi = np.where(full_f - f < TIE_TOL, 0.0, epsilon)
-    gamma = np.where(full_g - g < TIE_TOL, 0.0, epsilon)
-    rexf = np.maximum(excl_f, 0.0)
-    cexg = np.maximum(excl_g, 0.0)
-    problem = state.problem
-    support = (np.bincount(problem.link_u, weights=state._in_u, minlength=n_cand)
-               + np.bincount(problem.link_v, weights=state._in_v, minlength=n_cand))
-
-    wn = state._wn
-    row_side = wn - rexf - phi
-    state._f_next = wn - cexg - gamma + support
-    state._g_next = row_side + support
-    state.p_hat = row_side - cexg - gamma + support
+    Every term is written into one of four candidate buffers, which then
+    trade places, so no candidate-length array is allocated.
+    """
+    f, g, epsilon, wn, mask = state.f, state.g, state.config.epsilon, state._wn, state._mask
+    perm_c, support = state._perm_c, state._support_u
+    a, b, c, d = state._f_next, state._g_next, state.p_hat, state._support_v
+    support += d  # support into u plus support into v
+    _segment_stats(state, f, state._starts_r, state._seg_r, c, b)
+    _tie_penalty(c, f, epsilon, mask)        # c = phi
+    np.maximum(b, 0.0, out=b)                # b = rexf
+    np.subtract(wn, b, out=b)
+    b -= c                                   # b = wn - rexf - phi, the row side
+    np.take(g, perm_c, out=c, mode="clip")   # c = g in column order
+    _segment_stats(state, c, state._starts_c, state._seg_c, a, d)
+    _tie_penalty(a, c, epsilon, mask)        # a = gamma in column order
+    np.maximum(d, 0.0, out=d)                # d = cexg in column order
+    c[perm_c] = a                            # c = gamma
+    a[perm_c] = d                            # a = cexg
+    np.subtract(b, a, out=d)
+    d -= c
+    d += support                             # d = p_hat
+    np.subtract(wn, a, out=a)
+    a -= c
+    a += support                             # a = f_next
+    b += support                             # b = g_next
+    state._f_next, state._g_next, state.p_hat, state._support_v = a, b, d, c
 
 
 def _check_problem(problem: NapProblem, state: BpState):
@@ -221,16 +263,11 @@ def bp_iterate(problem: NapProblem, state: BpState,
         raise ValueError("the state was initialised with another config")
     n_cand, n_link = problem.n_candidates, len(state.h_uv)
 
-    f_new, g_new = state._f_next, state._g_next
-    d = state.config.damping
-    if d > 0.0:
-        f_new = (1.0 - d) * f_new + d * state.f
-        g_new = (1.0 - d) * g_new + d * state.g
-    delta = max((float(np.max(np.abs(new - old)))
-                 for new, old in ((f_new, state.f), (g_new, state.g)) if len(new)),
-                default=0.0)
-    delta = max(delta, _update_links(state))  # reads p_hat before _beliefs replaces it
-    state.f, state.g = f_new, g_new
+    f_new, g_new, f_old, g_old = state._f_next, state._g_next, state.f, state.g
+    tmp, d = state._support_u, state.config.damping  # the link pass refills the support
+    delta = max(_damped_change(f_new, f_old, d, tmp), _damped_change(g_new, g_old, d, tmp),
+                _update_links(state))  # reads p_hat before _beliefs replaces it
+    state.f, state.g, state._f_next, state._g_next = f_new, g_new, f_old, g_old
     state.iteration += 1
     state.delta = delta
     # modelled work: the belief terms of the messages read (row and column
@@ -249,9 +286,12 @@ def estimate_mode(problem: NapProblem, state: BpState) -> Mapping:
     an exact matching over the rows and columns they touch.
     """
     _check_problem(problem, state)
-    positive = np.flatnonzero(state.p_hat > 0.0)
-    return max_weight_matching(problem.cand_rows[positive], problem.cand_cols[positive],
-                               state.p_hat[positive])
+    rows, cols, belief = problem.cand_rows, problem.cand_cols, state.p_hat
+    positive = belief > 0.0
+    if not positive.all():  # else the arrays themselves, as at step 0 of most problems
+        positive = np.flatnonzero(positive)
+        rows, cols, belief = rows[positive], cols[positive], belief[positive]
+    return max_weight_matching(rows, cols, belief)
 
 
 def solve_nap(problem: NapProblem,

@@ -12,6 +12,7 @@ import json
 import logging
 from dataclasses import dataclass, field
 from itertools import chain
+from numbers import Real
 from operator import itemgetter
 from typing import Dict, Optional, Tuple
 
@@ -27,6 +28,13 @@ FORMAT_VERSION = 1
 # instruction class, max block instructions; then topology; then neighborhood.
 TOPOLOGY_KEYS = ("blocks", "jumps", "max_block_callers", "max_block_callees")
 NEIGHBORHOOD_KEYS = ("callers", "callees")
+
+
+def check_non_negative(**values: float) -> None:
+    """Raise ValueError unless each named value is a finite real number >= 0."""
+    for name, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, Real) or not 0 <= value < np.inf:
+            raise ValueError("%s must be finite and non-negative, not %r" % (name, value))
 
 
 def feature_group_sizes(n_classes: int) -> Tuple[int, int, int]:

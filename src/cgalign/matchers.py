@@ -78,12 +78,13 @@ def max_weight_matching(rows: np.ndarray, cols: np.ndarray, w: np.ndarray) -> Ma
     if (len(np.unique(pos_rows)) == len(pos_rows)
             and len(np.unique(pos_cols)) == len(pos_cols)):
         return Mapping.from_pairs(zip(pos_rows.tolist(), pos_cols.tolist()))
-    row_ids, row_pos = np.unique(rows, return_inverse=True)
-    col_ids, col_pos = np.unique(cols, return_inverse=True)
+    del positive, pos_rows, pos_cols
+    # the positions np.unique's return_inverse gives, without its n-length temporaries
+    row_ids, col_ids = np.unique(rows), np.unique(cols)
     dense = np.zeros((len(row_ids), len(col_ids)))
     # clamp: taking a non-positive pair is never better than skipping it,
     # and a negative cell could otherwise force a worse assignment
-    dense[row_pos, col_pos] = np.maximum(w, 0.0)
+    dense[np.searchsorted(row_ids, rows), np.searchsorted(col_ids, cols)] = np.maximum(w, 0.0)
     sel_r, sel_c = linear_sum_assignment(dense, maximize=True)
     chosen = dense[sel_r, sel_c] > 0.0
     return Mapping.from_pairs(zip(row_ids[sel_r[chosen]].tolist(),

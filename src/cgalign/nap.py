@@ -16,13 +16,12 @@ what makes maximizing the alignment value the same as minimizing edit cost.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Real
 from typing import Iterable, List, Tuple, Union
 
 import numpy as np
 
 from .errors import MappingError
-from .graphs import CallGraph
+from .graphs import CallGraph, check_non_negative
 from .similarity import SimilarityMatrix
 
 
@@ -119,7 +118,7 @@ class NapProblem(Candidates):
         return self.link_count * (2.0 * self.d_edge)
 
 
-JOIN_CHUNK = 4_000_000  # edge pairs joined at once; bounds the join's scratch arrays
+JOIN_CHUNK = 1 << 16  # edge pairs joined at once: each of the join's scratch arrays <= 512 KiB
 
 
 def _out_edges(graph: CallGraph) -> Tuple[np.ndarray, np.ndarray]:
@@ -164,13 +163,6 @@ def _link_keys(sim: SimilarityMatrix, a: CallGraph, b: CallGraph) -> np.ndarray:
     return np.concatenate(parts)
 
 
-def check_non_negative(**values: float) -> None:
-    """Raise ValueError unless each named value is a finite real number >= 0."""
-    for name, value in values.items():
-        if isinstance(value, bool) or not isinstance(value, Real) or not 0 <= value < np.inf:
-            raise ValueError("%s must be finite and non-negative, not %r" % (name, value))
-
-
 def build_candidates(sim: SimilarityMatrix, d_node: float = 0.5) -> Candidates:
     """A similarity matrix's candidates with node weights s + 2*d_node - 1, no links."""
     check_non_negative(d_node=d_node)
@@ -185,14 +177,28 @@ def build_candidates(sim: SimilarityMatrix, d_node: float = 0.5) -> Candidates:
 def build_problem(sim: SimilarityMatrix, a: CallGraph, b: CallGraph,
                   alpha: float = 0.75, d_node: float = 0.5,
                   d_edge: float = 0.5) -> NapProblem:
-    """Assemble node weights and the links merging squares for a candidate set."""
+    """Assemble node weights and the links merging squares for a candidate set.
+
+    The square keys are merged into links as np.unique would merge them, but
+    in place: sorted, cut at a boundary mask and split by np.divmod into
+    link_u itself.  They are dropped before link_v is allocated, so the
+    merge never holds the keys and both link arrays at once.
+    """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")
     check_non_negative(d_node=d_node, d_edge=d_edge)
-    link_keys, link_count = np.unique(_link_keys(sim, a, b), return_counts=True)
-    link_u, link_v = np.divmod(link_keys, max(len(sim), 1))
+    keys = _link_keys(sim, a, b)
+    keys.sort()
+    first = np.ones(len(keys) + 1, dtype=bool)  # key t starts a link; one entry past the end
+    np.not_equal(keys[1:], keys[:-1], out=first[1:-1])
+    # a link merges at most two squares, one per direction: two where the next key repeats it
+    link_count = 2 - first[1:][first[:-1]].view(np.uint8)
+    link_u = keys[first[:-1]]
+    del keys, first
+    link_v = np.empty_like(link_u)
+    np.divmod(link_u, max(len(sim), 1), out=(link_u, link_v))
     return NapProblem(**vars(build_candidates(sim, d_node)), link_u=link_u, link_v=link_v,
-                      link_count=link_count.astype(np.uint8),
+                      link_count=link_count,
                       alpha=alpha, d_node=d_node, d_edge=d_edge,
                       edges_a=len(a.edges), edges_b=len(b.edges))
 
@@ -262,6 +268,7 @@ def count_squares(problem: NapProblem, mapping: Mapping) -> int:
 def baseline_cost(n_a: int, n_b: int, edges_a: int, edges_b: int,
                   d_node: float, d_edge: float) -> float:
     """Edit cost of the empty mapping: delete one program, insert the other."""
+    check_non_negative(d_node=d_node, d_edge=d_edge)
     return (n_a + n_b) * d_node + (edges_a + edges_b) * d_edge
 
 
@@ -299,8 +306,9 @@ def ged_cost_editpath(a: CallGraph, b: CallGraph, mapping: Mapping,
     deleted or inserted at d_node.  A call whose two endpoints map onto an
     existing call is edited for free (call similarity is 1); any other call
     on either side is deleted or inserted at d_edge.  Kept deliberately
-    independent of the alignment machinery.
+    independent of the alignment machinery, but refuses the costs it does.
     """
+    check_non_negative(d_node=d_node, d_edge=d_edge)
     fwd = mapping.as_dict()
     cost = 0.0
     for i, j in mapping.sorted_pairs():

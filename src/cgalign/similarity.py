@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .graphs import CallGraph, feature_group_sizes, validate_pair
+from .graphs import CallGraph, check_non_negative, feature_group_sizes, validate_pair
 
 # elements per scratch buffer of the similarity kernel (512 KiB of float64):
 # each row block of the score matrix is computed in two such buffers
@@ -37,15 +37,14 @@ class SimilarityConfig:
     sparsity_ratio: float = 0.0       # fraction of lowest-scoring pairs to drop
 
     def __post_init__(self):
-        for label in ("content_weight", "topology_weight", "neighborhood_weight"):
-            if getattr(self, label) < 0:
-                raise ValueError("%s must be non-negative" % label)
+        check_non_negative(content_weight=self.content_weight,
+                           topology_weight=self.topology_weight,
+                           neighborhood_weight=self.neighborhood_weight,
+                           perturbation_scale=self.perturbation_scale)
         if self.content_weight + self.topology_weight + self.neighborhood_weight <= 0:
             raise ValueError("group weights must not all be zero")
         if not 0.0 <= self.sparsity_ratio <= 1.0:
             raise ValueError("sparsity_ratio must lie in [0, 1]")
-        if self.perturbation_scale < 0:
-            raise ValueError("perturbation_scale must be non-negative")
 
 
 def feature_weights(n_classes: int, config: SimilarityConfig) -> np.ndarray:

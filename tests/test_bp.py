@@ -237,13 +237,18 @@ def reference_iterate(problem, state):
     """The whole-array update: every link gathered, damped, diffed and clipped at once.
 
     Only the link half is kept here; the candidate terms come from the state's
-    own belief step, fed with the clamped inputs computed below.
+    own belief step, fed with the support of the clamped inputs computed below.
+    The inputs are computed from the reference's own messages, before and after
+    the update, and f_new and g_new are copies, so no array is shared with the
+    buffers the belief step writes.
     """
     d = state.config.damping
     wl = (1.0 - problem.alpha) * problem.link_w
-    f_new, g_new = state._f_next, state._g_next
-    h_uv_new = state.p_hat[problem.link_u] - state._in_u
-    h_vu_new = state.p_hat[problem.link_v] - state._in_v
+    f_new, g_new = state._f_next.copy(), state._g_next.copy()
+    in_u = np.clip(wl + state.h_vu, 0.0, wl)
+    in_v = np.clip(wl + state.h_uv, 0.0, wl)
+    h_uv_new = state.p_hat[problem.link_u] - in_u
+    h_vu_new = state.p_hat[problem.link_v] - in_v
     if d > 0.0:
         f_new = (1.0 - d) * f_new + d * state.f
         g_new = (1.0 - d) * g_new + d * state.g
@@ -254,8 +259,11 @@ def reference_iterate(problem, state):
     state.delta = float(max((np.max(np.abs(new - old)) for new, old in pairs if len(new)),
                             default=0.0))
     state.f, state.g, state.h_uv, state.h_vu = f_new, g_new, h_uv_new, h_vu_new
-    state._in_u = np.clip(wl + state.h_vu, 0.0, wl)
-    state._in_v = np.clip(wl + state.h_uv, 0.0, wl)
+    in_u = np.clip(wl + state.h_vu, 0.0, wl)
+    in_v = np.clip(wl + state.h_uv, 0.0, wl)
+    n_cand = problem.n_candidates
+    state._support_u[...] = np.bincount(problem.link_u, weights=in_u, minlength=n_cand)
+    state._support_v[...] = np.bincount(problem.link_v, weights=in_v, minlength=n_cand)
     state.iteration += 1
     bp._beliefs(state)
 
@@ -336,6 +344,26 @@ def test_iteration_and_scoring_allocate_no_link_length_array():
             tracemalloc.stop()
         assert iterate_peak < link_array
         assert score_peak < len(p.link_w)  # not even one bool per link
+
+
+@pytest.mark.parametrize("damping", [0.0, 0.3])
+def test_state_holds_two_link_length_arrays(damping):
+    p = dense_problem()
+    link_array = 8 * len(p.link_u)
+    tracemalloc.start()
+    try:
+        st = init_state(p, BpConfig(damping=damping))
+        bp_iterate(p, st)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    # h_uv and h_vu, the link pass's four block buffers, and the candidate
+    # arrays: 2,500 candidates, so these are small next to the links
+    assert held <= 2 * link_array + 8 * (4 * bp.LINK_BLOCK + 20 * p.n_candidates)
+    link_length = sorted(name for name, value in vars(st).items()
+                         if isinstance(value, np.ndarray) and value.dtype == np.float64
+                         and value.size >= len(p.link_u))
+    assert link_length == ["h_uv", "h_vu"]
 
 
 def test_damping_still_converges_to_same_fixed_point():

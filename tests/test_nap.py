@@ -1,6 +1,7 @@
 """Alignment problem assembly, its objective, and the two edit-cost routes."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -235,6 +236,26 @@ def test_ged_editpath_rejects_unscored_pair():
         ged_cost_editpath(a, b, Mapping.from_pairs([missing]), sim)
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("d_node", float("nan"), "d_node must be finite and non-negative, not nan"),
+    ("d_node", -0.5, "d_node must be finite and non-negative, not -0.5"),
+    ("d_edge", float("inf"), "d_edge must be finite and non-negative, not inf"),
+    ("d_edge", "0.5", "d_edge must be finite and non-negative, not '0.5'"),
+])
+def test_ged_routes_refuse_the_same_costs(field, value, message):
+    a, b, sim = square_instance()
+    costs = dict(d_node=0.5, d_edge=0.5)
+    costs[field] = value
+    mapping = Mapping.from_pairs([(0, 0)])
+    for route in (ged_cost_direct, ged_cost_editpath):
+        with pytest.raises(ValueError) as info:
+            route(a, b, mapping, sim, **costs)
+        assert str(info.value) == message
+    with pytest.raises(ValueError) as info:
+        baseline_cost(2, 2, 1, 1, costs["d_node"], costs["d_edge"])
+    assert str(info.value) == message
+
+
 def random_feasible_mapping(rng, n_a, n_b):
     k = int(rng.integers(0, min(n_a, n_b) + 1))
     rows = rng.permutation(n_a)[:k]
@@ -338,6 +359,57 @@ def test_links_do_not_depend_on_join_chunk(monkeypatch, chunk):
     assert whole.n_squares > 0
     for name in ("link_u", "link_v", "link_count", "link_w"):
         assert np.array_equal(getattr(whole, name), getattr(chunked, name))
+
+
+def merge_cases():
+    """(label, sim, a, b): no candidates, no calls, and links merging two squares."""
+    a = generate_graph(20, edge_density=0.3, seed=41, name="A")
+    b = generate_graph(18, edge_density=0.3, seed=42, name="B")
+    yield "no candidates", build_similarity_matrix(
+        a, b, SimilarityConfig(sparsity_ratio=1.0)), a, b
+    lone = generate_graph(6, edge_density=0.0, seed=43, name="C")
+    yield "no calls", build_similarity_matrix(lone, lone, SimilarityConfig()), lone, lone
+    yield "self diff", build_similarity_matrix(a, a, SimilarityConfig()), a, a
+    yield "pruned", build_similarity_matrix(a, b, SimilarityConfig(sparsity_ratio=0.3)), a, b
+
+
+MERGE_CASES = list(merge_cases())
+
+
+@pytest.mark.parametrize("chunk", [1, 7, nap.JOIN_CHUNK])
+@pytest.mark.parametrize("case", MERGE_CASES, ids=lambda case: case[0])
+def test_link_merge_matches_unique_reference(monkeypatch, case, chunk):
+    label, sim, a, b = case
+    keys, counts = np.unique(nap._link_keys(sim, a, b), return_counts=True)
+    link_u, link_v = np.divmod(keys, max(len(sim), 1))
+    monkeypatch.setattr(nap, "JOIN_CHUNK", chunk)
+    p = build_problem(sim, a, b)
+    for name, want in (("link_u", link_u), ("link_v", link_v),
+                       ("link_count", counts.astype(np.uint8))):
+        got = getattr(p, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
+    assert (len(keys) == 0) == label.startswith("no")
+    if label == "self diff":
+        assert {1, 2} <= set(counts.tolist())
+
+
+@pytest.mark.parametrize("chunk", [4096, nap.JOIN_CHUNK])
+def test_build_peak_stays_near_its_output(monkeypatch, chunk):
+    a = generate_graph(50, edge_density=0.2, seed=3, name="A")
+    b = generate_graph(50, edge_density=0.2, seed=4, name="B")
+    sim = build_similarity_matrix(a, b, SimilarityConfig())
+    monkeypatch.setattr(nap, "JOIN_CHUNK", chunk)
+    tracemalloc.start()
+    try:
+        p = build_problem(sim, a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    output = sum(x.nbytes for x in (p.link_u, p.link_v, p.link_count, p.node_weights))
+    assert len(p.link_u) > 200_000
+    # the output, one key per square while the links are cut from them, and
+    # the join's scratch: a few int64 arrays of one chunk
+    assert peak < 1.25 * output + 6 * 8 * chunk
 
 
 def index_cases():

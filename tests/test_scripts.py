@@ -5,6 +5,8 @@ import os
 
 import pytest
 
+from cgalign import generate_graph, save_call_graph
+
 SCRIPTS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scripts")
 
 
@@ -27,3 +29,16 @@ def test_script_runs_at_small_size(name, argv, rows, capsys):
     # a header, one line per size, ratio, level or subcommand, and for the
     # scaling study its fit
     assert len(lines) == 1 + rows + (name == "scaling_study")
+
+
+def test_diff_memory_reports_one_diff(tmp_path, capsys):
+    paths = []
+    for seed, name in ((3, "A"), (4, "B")):
+        paths.append(str(tmp_path / ("%s.json" % name)))
+        save_call_graph(generate_graph(30, edge_density=0.1, seed=seed, name=name), paths[-1])
+    assert load_script("diff_memory").main(paths + ["--max-iters", "3"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines] == ["metric", "peak_rss", "minor_faults",
+                                                  "build_problem", "bp_iterate"]
+    values = [float(line.split()[1]) for line in lines[1:]]
+    assert values[0] > 0 and all(value >= 0 for value in values)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from cgalign import graphs, nap, similarity
 from cgalign import (CallGraph, SimilarityConfig, SimilarityMatrix, build_similarity_matrix,
                      canberra_similarity, generate_graph)
 from cgalign.similarity import BLOCK, _weighted_canberra, feature_weights, prune_lowest
@@ -70,6 +71,19 @@ def test_all_zero_group_weights_rejected():
     with pytest.raises(ValueError, match="group weights"):
         SimilarityConfig(content_weight=0.0, topology_weight=0.0,
                          neighborhood_weight=0.0)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0, "1.0"])
+@pytest.mark.parametrize("field", ["content_weight", "topology_weight",
+                                   "neighborhood_weight", "perturbation_scale"])
+def test_config_rejects_non_finite_or_negative_values(field, value):
+    with pytest.raises(ValueError) as info:
+        SimilarityConfig(**{field: value})
+    assert str(info.value) == "%s must be finite and non-negative, not %r" % (field, value)
+
+
+def test_check_is_shared_with_the_problem_build():
+    assert nap.check_non_negative is similarity.check_non_negative is graphs.check_non_negative
 
 
 def test_feature_weights_split_evenly():
