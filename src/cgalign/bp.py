@@ -153,8 +153,8 @@ def _tie_penalty(full: np.ndarray, values: np.ndarray, epsilon: float, mask: np.
 def _clamped(wl: np.ndarray, h: np.ndarray, out: np.ndarray) -> np.ndarray:
     """clip(wl + h, 0, wl): the support a link message passes on, into out.
 
-    np.maximum then np.minimum give np.clip's bits for any wl but -0.0, at
-    a third of its cost when the bounds are arrays.
+    np.maximum then np.minimum give np.clip's bits, at a third of its cost
+    when the bounds are arrays.
     """
     np.add(wl, h, out=out)
     np.maximum(out, 0.0, out=out)

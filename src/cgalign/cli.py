@@ -45,6 +45,7 @@ def _ranged(kind, low, high=math.inf, open_high=False):
         try:
             value = kind(text)
             inside = (math.isfinite(value) and low <= value
+                      and (low < 0 or math.copysign(1.0, value) > 0)  # -0.0 is below 0
                       and (value < high if open_high else value <= high))
         except (ValueError, OverflowError):  # an int too large for a float overflows
             inside = False
@@ -76,9 +77,14 @@ def build_parser() -> argparse.ArgumentParser:
                       help="trade-off between function and call similarity (default 0.75)")
     diff.add_argument("--epsilon", type=_ranged(float, 0), default=0.5,
                       help="belief propagation slack penalty (default 0.5)")
-    diff.add_argument("--max-iters", type=_ranged(int, 0), default=1000)
-    diff.add_argument("--damping", type=_ranged(float, 0, 1, open_high=True), default=0.0)
-    diff.add_argument("--matcher", choices=("nap", "mwm", "mcs"), default="nap")
+    diff.add_argument("--max-iters", type=_ranged(int, 0), default=1000,
+                      help="cap on belief propagation iterations (default 1000); 0 runs none "
+                      "and reports the empty mapping as not converged")
+    diff.add_argument("--damping", type=_ranged(float, 0, 1, open_high=True), default=0.0,
+                      help="weight of a message's old value in its update (default 0)")
+    diff.add_argument("--matcher", choices=("nap", "mwm", "mcs"), default="nap",
+                      help="belief propagation (nap), maximum-weight matching of "
+                      "similarities (mwm) or greedy structural matching (mcs); default nap")
     diff.add_argument("--k", type=_ranged(int, 1), default=2,
                       help="neighborhood radius for the mcs matcher (default 2)")
     diff.add_argument("--threads", type=_ranged(int, 1, MAX_THREADS), default=1,
@@ -94,7 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
     evl.add_argument("truth")
     evl.add_argument("--program-a", help="graph file to resolve report keys against")
     evl.add_argument("--program-b", help="the same for program B; give both or neither")
-    evl.add_argument("--json", action="store_true")
+    evl.add_argument("--json", action="store_true", help="print the scores as JSON on stdout")
     evl.set_defaults(func=cmd_eval)
 
     ged = commands.add_parser("ged", help="recompute the edit cost of a report")
@@ -102,13 +108,15 @@ def build_parser() -> argparse.ArgumentParser:
     ged.add_argument("graph_b")
     ged.add_argument("report")
     _add_cost_flags(ged)
-    ged.add_argument("--json", action="store_true")
+    ged.add_argument("--json", action="store_true", help="print the costs as JSON on stdout")
     ged.set_defaults(func=cmd_ged)
 
     gen = commands.add_parser("generate", help="emit synthetic graphs with truth")
-    gen.add_argument("--n", type=_ranged(int, 0), required=True)
-    gen.add_argument("--density", type=_ranged(float, 0, 1), default=0.1)
-    gen.add_argument("--seed", type=_ranged(int, 0), default=0)
+    gen.add_argument("--n", type=_ranged(int, 0), required=True, help="functions in the base graph")
+    gen.add_argument("--density", type=_ranged(float, 0, 1), default=0.1,
+                     help="probability of each possible call (default 0.1)")
+    gen.add_argument("--seed", type=_ranged(int, 0), default=0,
+                     help="random seed of the base graph; --mutate uses seed + 1 (default 0)")
     gen.add_argument("--templates", type=_ranged(int, 1), default=None,
                      help="size of the feature template pool (default n // 4)")
     gen.add_argument("--out", required=True, help="path for the base graph")
@@ -145,10 +153,6 @@ def _writing(path: str):
         raise DataError("cannot write %s: %s" % (path, exc.strerror or exc))
 
 
-def _name_index(graph: CallGraph) -> dict:
-    return {name: i for i, name in enumerate(graph.names) if name is not None}
-
-
 def _key_to_id(key, graph: CallGraph, names: dict, side: str) -> int:
     """Function id of a report or truth key, which their readers check is an int or a str."""
     if isinstance(key, int):
@@ -158,6 +162,14 @@ def _key_to_id(key, graph: CallGraph, names: dict, side: str) -> int:
     if key not in names:
         raise DataError("function %r not found in %s" % (key, side))
     return names[key]
+
+
+def _pair_ids(pairs, a: CallGraph, b: CallGraph) -> List[Tuple[int, int]]:
+    """Function ids of a report's or truth's (key_a, key_b) pairs, in order."""
+    names_a, names_b = ({name: i for i, name in enumerate(g.names) if name is not None}
+                        for g in (a, b))
+    return [(_key_to_id(ka, a, names_a, "program A"), _key_to_id(kb, b, names_b, "program B"))
+            for ka, kb in pairs]
 
 
 def _solve(args, sim, a: CallGraph, b: CallGraph):
@@ -234,23 +246,11 @@ def cmd_eval(args) -> int:
     if args.program_a is not None:
         a = load_call_graph(args.program_a)
         b = load_call_graph(args.program_b)
-        names_a, names_b = _name_index(a), _name_index(b)
-        predicted = {(a.key_of(_key_to_id(ka, a, names_a, "program A")),
-                      b.key_of(_key_to_id(kb, b, names_b, "program B")))
-                     for ka, kb in predicted}
-        truth_pairs = {(a.key_of(_key_to_id(ka, a, names_a, "program A")),
-                        b.key_of(_key_to_id(kb, b, names_b, "program B")))
-                       for ka, kb in truth_pairs}
+        predicted = {(a.key_of(i), b.key_of(j)) for i, j in _pair_ids(predicted, a, b)}
+        truth_pairs = {(a.key_of(i), b.key_of(j)) for i, j in _pair_ids(truth_pairs, a, b)}
     report = evaluation.score(predicted, truth_pairs)
-    payload = {
-        "n_predicted": report.n_predicted, "n_truth": report.n_truth,
-        "n_common": report.n_common,
-        "precision": report.precision, "recall": report.recall,
-        "swapped_precision": report.swapped_precision,
-        "swapped_recall": report.swapped_recall, "f1": report.f1,
-    }
     if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(json.dumps(vars(report), indent=2, sort_keys=True))
     else:
         print("common %d of %d predicted / %d truth" % (report.n_common,
                                                         report.n_predicted,
@@ -266,10 +266,7 @@ def cmd_ged(args) -> int:
     a = load_call_graph(args.graph_a)
     b = load_call_graph(args.graph_b)
     validate_pair(a, b)
-    names_a, names_b = _name_index(a), _name_index(b)
-    mapping = nap.Mapping.from_pairs(
-        (_key_to_id(ka, a, names_a, "program A"), _key_to_id(kb, b, names_b, "program B"))
-        for ka, kb in _load_report(args.report))
+    mapping = nap.Mapping.from_pairs(_pair_ids(_load_report(args.report), a, b))
     sim_config = similarity.SimilarityConfig(sparsity_ratio=args.sparsity)
     sim = similarity.build_similarity_matrix(a, b, sim_config)
     direct = nap.ged_cost_direct(a, b, mapping, sim,

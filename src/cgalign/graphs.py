@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from dataclasses import dataclass, field
 from itertools import chain
 from numbers import Real
@@ -31,9 +32,10 @@ NEIGHBORHOOD_KEYS = ("callers", "callees")
 
 
 def check_non_negative(**values: float) -> None:
-    """Raise ValueError unless each named value is a finite real number >= 0."""
+    """Raise ValueError unless each named value is a finite real number >= 0, not -0.0."""
     for name, value in values.items():
-        if isinstance(value, bool) or not isinstance(value, Real) or not 0 <= value < np.inf:
+        if (isinstance(value, bool) or not isinstance(value, Real) or not 0 <= value < np.inf
+                or value == 0 and math.copysign(1.0, value) < 0):
             raise ValueError("%s must be finite and non-negative, not %r" % (name, value))
 
 

@@ -183,7 +183,7 @@ def solve_mcs_greedy(problem: Candidates, a: CallGraph, b: CallGraph,
         vs = [v for v in hood_b[j] if not col_taken[v]]
         if not us or not vs:
             return
-        cands = problem.index[np.ix_(us, vs)].ravel()
+        cands = problem.sim.lookup(np.array(us)[:, None], vs).ravel()
         cands = cands[cands >= 0]
         # a candidate leaves the heap only once its row or column is taken,
         # so pushing it again could only add a stale copy

@@ -11,12 +11,17 @@ A mapping between the functions of two call graphs can be scored two ways:
 With node weights w = s + 2*d_node - 1 and square weights 2*d_edge the two
 views are equivalent up to the constant cost of the empty mapping, which is
 what makes maximizing the alignment value the same as minimizing edit cost.
+
+A problem holds the SimilarityMatrix it was built from as `sim`: its
+candidates are that matrix's entries, in the same order, and every pair is
+found through sim.lookup.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Iterable, List, Tuple, Union
+from typing import Iterable, List, Tuple
 
 import numpy as np
 
@@ -68,17 +73,19 @@ class Mapping:
 class Candidates:
     """Retained candidate pairs and their node weights: all a linear matcher reads.
 
-    Candidates are stored in the order of the SimilarityMatrix they come
-    from, lexicographic (row, col), and share its rows, columns and dense
-    `index`: the candidate position of each pair (i, j), or -1 if pruned.
+    The candidates are the entries of `sim`, the SimilarityMatrix they were
+    built from, in its lexicographic (row, col) order, so a pair's candidate
+    position is sim.lookup(i, j).
     """
 
-    n_a: int
-    n_b: int
-    cand_rows: np.ndarray      # int64
-    cand_cols: np.ndarray      # int64
-    index: np.ndarray          # int64 (n_a, n_b), candidate position or -1
+    sim: SimilarityMatrix
     node_weights: np.ndarray   # float64, s + 2*d_node - 1
+
+    # read-only views of sim
+    n_a = property(lambda self: self.sim.n_a)
+    n_b = property(lambda self: self.sim.n_b)
+    cand_rows = property(lambda self: self.sim.rows)  # int64
+    cand_cols = property(lambda self: self.sim.cols)  # int64
 
     @property
     def n_candidates(self) -> int:
@@ -136,8 +143,7 @@ def _link_keys(sim: SimilarityMatrix, a: CallGraph, b: CallGraph) -> np.ndarray:
     a call i->k and a call j->l whose (k, l) is also kept is a square.  The
     work is the sum of outdeg(i) * outdeg(j) over kept candidates.
     """
-    index = sim.index.ravel()
-    n_cand, n_b = len(sim), sim.n_b
+    n_cand = len(sim)
     off_a, callee_a = _out_edges(a)
     off_b, callee_b = _out_edges(b)
     rows, cols = sim.rows, sim.cols
@@ -153,9 +159,7 @@ def _link_keys(sim: SimilarityMatrix, a: CallGraph, b: CallGraph) -> np.ndarray:
         # t numbers the pairs of one candidate: out-edge t // deg_b of i, t % deg_b of j
         t = np.arange(starts[lo], ends[hi - 1]) - np.repeat(starts[lo:hi], pairs[lo:hi])
         t_a, t_b = np.divmod(t, deg_b[src])
-        want = (callee_a[off_a[rows[src]] + t_a] * n_b
-                + callee_b[off_b[cols[src]] + t_b])
-        dst = index[want]
+        dst = sim.lookup(callee_a[off_a[rows[src]] + t_a], callee_b[off_b[cols[src]] + t_b])
         hit = dst >= 0
         src, dst = src[hit], dst[hit]
         parts.append(np.minimum(src, dst) * n_cand + np.maximum(src, dst))
@@ -166,12 +170,7 @@ def _link_keys(sim: SimilarityMatrix, a: CallGraph, b: CallGraph) -> np.ndarray:
 def build_candidates(sim: SimilarityMatrix, d_node: float = 0.5) -> Candidates:
     """A similarity matrix's candidates with node weights s + 2*d_node - 1, no links."""
     check_non_negative(d_node=d_node)
-    return Candidates(n_a=sim.n_a, n_b=sim.n_b,
-                      cand_rows=np.asarray(sim.rows, dtype=np.int64),
-                      cand_cols=np.asarray(sim.cols, dtype=np.int64),
-                      index=sim.index,
-                      node_weights=np.asarray(sim.scores + (2.0 * d_node - 1.0),
-                                              dtype=np.float64))
+    return Candidates(sim=sim, node_weights=sim.scores + (2.0 * d_node - 1.0))
 
 
 def build_problem(sim: SimilarityMatrix, a: CallGraph, b: CallGraph,
@@ -184,7 +183,7 @@ def build_problem(sim: SimilarityMatrix, a: CallGraph, b: CallGraph,
     link_u itself.  They are dropped before link_v is allocated, so the
     merge never holds the keys and both link arrays at once.
     """
-    if not 0.0 <= alpha <= 1.0:
+    if not 0.0 <= alpha <= 1.0 or math.copysign(1.0, alpha) < 0:  # -0.0 too
         raise ValueError("alpha must lie in [0, 1]")
     check_non_negative(d_node=d_node, d_edge=d_edge)
     keys = _link_keys(sim, a, b)
@@ -203,19 +202,17 @@ def build_problem(sim: SimilarityMatrix, a: CallGraph, b: CallGraph,
                       edges_a=len(a.edges), edges_b=len(b.edges))
 
 
-def candidate_indices(candidates: Union[Candidates, SimilarityMatrix],
-                      mapping: Mapping) -> np.ndarray:
-    """Candidate index per mapped pair; raises if any pair was pruned."""
+def candidate_indices(sim: SimilarityMatrix, mapping: Mapping) -> np.ndarray:
+    """Entry of sim, and so candidate index, per mapped pair; raises if any pair was pruned."""
     if len(mapping) == 0:
         return np.empty(0, dtype=np.int64)
     pairs = np.asarray(mapping.sorted_pairs(), dtype=np.int64)
-    # checked before the gather, where a negative pair would wrap to another cell
-    out_of_range = ((pairs[:, 0] < 0) | (pairs[:, 0] >= candidates.n_a)
-                    | (pairs[:, 1] < 0) | (pairs[:, 1] >= candidates.n_b))
+    # checked before the lookup, where a negative pair would wrap to another cell
+    out_of_range = ((pairs < 0) | (pairs >= (sim.n_a, sim.n_b))).any(axis=1)
     if out_of_range.any():
         bad = pairs[np.argmax(out_of_range)]
         raise MappingError("pair (%d, %d) is outside the problem" % (bad[0], bad[1]))
-    pos = candidates.index[pairs[:, 0], pairs[:, 1]]
+    pos = sim.lookup(pairs[:, 0], pairs[:, 1])
     pruned = pos < 0
     if pruned.any():
         bad = pairs[np.argmax(pruned)]
@@ -240,7 +237,7 @@ def mapping_problem(sim: SimilarityMatrix, a: CallGraph, b: CallGraph, mapping: 
 
 def _gain_parts(problem: NapProblem, mapping: Mapping) -> Tuple[float, float, int]:
     """(node weight sum, square weight sum, realized square count)."""
-    midx = candidate_indices(problem, mapping)
+    midx = candidate_indices(problem.sim, mapping)
     node_part = float(problem.node_weights[midx].sum())
     chosen = np.zeros(problem.n_candidates, dtype=bool)
     chosen[midx] = True

@@ -6,7 +6,8 @@ topology, neighborhood) carries a fixed share of the total weight split
 evenly among its components.  A tiny bonus for functions at similar
 positions in their program's address order breaks ties between otherwise
 identical functions, and a global sparsity ratio prunes the lowest-scoring
-pairs to keep downstream solvers sparse.
+pairs to keep downstream solvers sparse.  SimilarityMatrix.lookup is the one
+way from a pair (i, j) to its retained entry, for every module.
 
 All n_a x n_b scores are computed in row blocks of at most BLOCK elements
 through two scratch buffers reused for every block, so the kernel's scratch
@@ -16,6 +17,7 @@ and non-negative, which CallGraph validates and canberra_similarity checks.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -43,7 +45,7 @@ class SimilarityConfig:
                            perturbation_scale=self.perturbation_scale)
         if self.content_weight + self.topology_weight + self.neighborhood_weight <= 0:
             raise ValueError("group weights must not all be zero")
-        if not 0.0 <= self.sparsity_ratio <= 1.0:
+        if not 0.0 <= self.sparsity_ratio <= 1.0 or math.copysign(1.0, self.sparsity_ratio) < 0:
             raise ValueError("sparsity_ratio must lie in [0, 1]")
 
 
@@ -101,11 +103,10 @@ class SimilarityMatrix:
     """Sparse rectangular matrix of retained candidate pairs.
 
     Entries are stored in lexicographic (row, col) order; absent positions
-    were pruned and are not legal match candidates.  `index` is the one
-    lookup from a pair to its entry: a dense (n_a, n_b) int64 array holding
-    each pair's entry position, or -1 where the pair was pruned.  It is built
-    from rows and cols when not given, and the NapProblem built over this
-    matrix shares it, since the problem keeps the same candidate order.
+    were pruned and are not legal match candidates.  `lookup` is the one
+    way from a pair to its entry.  It reads a private dense array of the
+    n_a * n_b entry positions, -1 where a pair was pruned, which is built
+    from rows and cols when not given.
     """
 
     n_a: int
@@ -113,12 +114,12 @@ class SimilarityMatrix:
     rows: np.ndarray    # int64, candidate row indices
     cols: np.ndarray    # int64, candidate col indices
     scores: np.ndarray  # float64 in [0, 1]
-    index: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
+    _index: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.index is None:
-            self.index = np.full((self.n_a, self.n_b), -1, dtype=np.int64)
-            self.index[self.rows, self.cols] = np.arange(len(self.rows))
+        if self._index is None:
+            self._index = np.full(self.n_a * self.n_b, -1, dtype=np.int64)
+            self._index[self.rows * self.n_b + self.cols] = np.arange(len(self.rows))
 
     def __len__(self) -> int:
         return len(self.scores)
@@ -127,20 +128,20 @@ class SimilarityMatrix:
     def pruned(self) -> int:
         return self.n_a * self.n_b - len(self)
 
-    def find(self, i: int, j: int) -> int:
-        """Index of candidate (i, j) in the entry arrays, or -1 if pruned or outside."""
-        if 0 <= i < self.n_a and 0 <= j < self.n_b:
-            return int(self.index[i, j])
-        return -1
+    def lookup(self, i, j) -> np.ndarray:
+        """Entry position of each pair (i, j), or -1 where the pair was pruned.
+
+        i and j are ids in range, or integer numpy arrays of them that
+        broadcast against each other.  Ranges are not checked: an id outside
+        them reads another pair's entry or raises IndexError.
+        """
+        return self._index[i * self.n_b + j]
 
     def get(self, i: int, j: int) -> float:
-        pos = self.find(i, j)
+        pos = self.lookup(i, j) if 0 <= i < self.n_a and 0 <= j < self.n_b else -1
         if pos < 0:
             raise KeyError((i, j))
         return float(self.scores[pos])
-
-    def contains(self, i: int, j: int) -> bool:
-        return self.find(i, j) >= 0
 
     def to_dense(self, fill: float = np.nan) -> np.ndarray:
         dense = np.full((self.n_a, self.n_b), fill)
@@ -189,14 +190,13 @@ def build_similarity_matrix(a: CallGraph, b: CallGraph,
     flat = scores.ravel()
     keep = prune_lowest(flat, int(np.floor(config.sparsity_ratio * total)))
     kept = flat[keep]
-    # the kept scores are copied out, so the score buffer becomes the index
-    # and no second n_a x n_b array is allocated while it is alive
+    # the kept scores are copied out, so the score buffer becomes the lookup's
+    # array and no second n_a x n_b array is allocated while it is alive
     index = flat.view(np.int64)
     index.fill(-1)
     index[keep] = np.arange(len(keep))
     rows, cols = np.divmod(keep, n_b)
-    return SimilarityMatrix(n_a=n_a, n_b=n_b, rows=rows, cols=cols, scores=kept,
-                            index=index.reshape(n_a, n_b))
+    return SimilarityMatrix(n_a=n_a, n_b=n_b, rows=rows, cols=cols, scores=kept, _index=index)
 
 
 def prune_lowest(scores: np.ndarray, drop: int) -> np.ndarray:

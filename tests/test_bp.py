@@ -38,6 +38,7 @@ def test_config_validation():
     ("epsilon", True), ("max_iterations", True), ("max_iterations", 2.5),
     ("max_iterations", "10"), ("threads", 2.5), ("threads", True), ("threads", False),
     ("threads", np.float64(2.0)), ("damping", float("nan")), ("damping", "0.3"),
+    ("epsilon", -0.0), ("damping", -0.0),
 ])
 def test_config_rejects_non_finite_or_mistyped_values(field, value):
     with pytest.raises(ValueError, match=field) as info:

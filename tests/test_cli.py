@@ -3,6 +3,7 @@
 Everything goes through cli.main(argv) in-process; files live in tmp_path.
 """
 
+import argparse
 import json
 import os
 import subprocess
@@ -467,6 +468,12 @@ BAD_FLAGS = [
     ("generate", ["--n", "4", "--templates", "0"]),
     ("generate", ["--n", "4", "--templates", "-1"]),
     ("generate", ["--n", "4", "--seed", "-1"]),
+    # -0.0 equals 0, but its sign puts it below every lower bound of 0
+    ("diff", ["--alpha", "-0"]), ("diff", ["--sparsity", "-0.0"]),
+    ("diff", ["--epsilon", "-0"]), ("diff", ["--damping", "-0.0"]),
+    ("diff", ["--d-node", "-0"]), ("diff", ["--d-edge", "-0.0"]),
+    ("ged", ["--sparsity", "-0"]), ("ged", ["--d-edge", "-0.0"]),
+    ("generate", ["--n", "4", "--density", "-0.0"]),
 ]
 
 
@@ -588,3 +595,22 @@ def test_fresh_diff_never_imports_scipy_optimize(tmp_path):
     assert seen["calls"] > 0  # the assignment ran, so its loading was exercised
     assert seen["scipy"] == [matchers.LSAP_MODULE]  # so no scipy.optimize
     assert not seen["futures"]  # belief propagation starts no thread pool
+
+
+def test_every_flag_has_help():
+    parser = cli.build_parser()
+    commands = next(action for action in parser._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    assert sorted(commands.choices) == ["diff", "eval", "ged", "generate"]
+    for name, sub in [("cgalign", parser)] + sorted(commands.choices.items()):
+        for action in sub._actions:
+            if action.option_strings:
+                assert action.help and action.help.strip(), (name, action.option_strings)
+
+
+def test_max_iters_zero_reports_the_empty_mapping_as_not_converged(tmp_path, capsys):
+    graph = synthetic.generate_graph(8, edge_density=0.3, seed=5)
+    path_a, path_b = write_graph_pair(tmp_path, graph, graph)
+    report = run_json(capsys, ["diff", path_a, path_b, "--max-iters", "0"])
+    assert report["matched"] == [] and report["objective"] == 0.0
+    assert report["iterations"] == 0 and report["converged"] is False

@@ -100,7 +100,7 @@ def test_squares_only_connect_retained_candidates():
     for u, v, count in zip(p.link_u.tolist(), p.link_v.tolist(), p.link_count.tolist()):
         i, i2 = int(p.cand_rows[u]), int(p.cand_cols[u])
         j, j2 = int(p.cand_rows[v]), int(p.cand_cols[v])
-        assert sim.contains(i, i2) and sim.contains(j, j2)
+        assert sim.lookup(i, i2) == u and sim.lookup(j, j2) == v
         # one square per direction in which both calls exist
         forward = (i, j) in edges_a and (i2, j2) in edges_b
         backward = (j, i) in edges_a and (j2, i2) in edges_b
@@ -241,6 +241,7 @@ def test_ged_editpath_rejects_unscored_pair():
     ("d_node", -0.5, "d_node must be finite and non-negative, not -0.5"),
     ("d_edge", float("inf"), "d_edge must be finite and non-negative, not inf"),
     ("d_edge", "0.5", "d_edge must be finite and non-negative, not '0.5'"),
+    ("d_edge", -0.0, "d_edge must be finite and non-negative, not -0.0"),
 ])
 def test_ged_routes_refuse_the_same_costs(field, value, message):
     a, b, sim = square_instance()
@@ -299,7 +300,7 @@ def test_objective_mirrors_edit_cost_at_equal_alpha(seed):
 
 def reference_gain_parts(problem, mapping):
     """(node sum, square count) with both ends of every link gathered."""
-    midx = nap.candidate_indices(problem, mapping)
+    midx = nap.candidate_indices(problem.sim, mapping)
     chosen = np.zeros(problem.n_candidates, dtype=bool)
     chosen[midx] = True
     realized = chosen[problem.link_u] & chosen[problem.link_v]
@@ -329,7 +330,7 @@ def test_scoring_by_link_ranges_matches_all_links_reference(sparsity, density):
                       a, b, alpha=0.6, d_edge=d_edge)
     assert (len(p.link_w) > 0) == (density > 0)
     mappings = [Mapping.empty(), Mapping.from_pairs((i, i) for i in range(21)
-                                                    if p.index[i, i] >= 0)]
+                                                    if p.sim.lookup(i, i) >= 0)]
     mappings += [retained_mapping(rng, p) for _ in range(30)]
     for m in mappings:
         node_part, count = reference_gain_parts(p, m)
@@ -432,22 +433,29 @@ def index_cases():
 def test_dense_index_is_the_one_candidate_lookup(case):
     _, sim, a, b = case
     n = len(sim)
-    assert sim.index.shape == (sim.n_a, sim.n_b) and sim.index.dtype == np.int64
-    assert np.array_equal(sim.index[sim.rows, sim.cols], np.arange(n))
-    assert np.count_nonzero(sim.index >= 0) == n
-    for i, j in ((-1, 0), (0, -1), (sim.n_a, 0), (0, sim.n_b), (-1, -1)):
-        assert sim.find(i, j) == -1 and not sim.contains(i, j)
+    want = np.full((sim.n_a, sim.n_b), -1)
+    want[sim.rows, sim.cols] = np.arange(n)
+    i, j = np.indices(want.shape)
+    got = sim.lookup(i, j)
+    assert got.dtype == np.int64 and np.array_equal(got, want)
+    # a column of rows broadcasts against a row of columns, and one pair gives one entry
+    assert np.array_equal(sim.lookup(i[:, :1], j[0]), want)
+    for r, c in np.ndindex(want.shape):
+        assert sim.lookup(r, c) == want[r, c]
+    for r, c in ((-1, 0), (0, -1), (sim.n_a, 0), (0, sim.n_b), (-1, -1)):
+        with pytest.raises(KeyError):
+            sim.get(r, c)
     p = build_problem(sim, a, b)
-    assert p.index is sim.index
+    assert p.sim is sim
     if n:
         first = Mapping.from_pairs([(int(sim.rows[0]), int(sim.cols[0]))])
-        assert nap.candidate_indices(p, first).tolist() == [0]
-    pruned = np.argwhere(sim.index < 0)
+        assert nap.candidate_indices(p.sim, first).tolist() == [0]
+    pruned = np.argwhere(want < 0)
     if len(pruned):
         with pytest.raises(MappingError, match="not a retained candidate"):
-            nap.candidate_indices(p, Mapping.from_pairs([tuple(pruned[-1].tolist())]))
+            nap.candidate_indices(p.sim, Mapping.from_pairs([tuple(pruned[-1].tolist())]))
     with pytest.raises(MappingError, match="outside the problem"):
-        nap.candidate_indices(p, Mapping.from_pairs([(-1, 0)]))
+        nap.candidate_indices(p.sim, Mapping.from_pairs([(-1, 0)]))
 
 
 @pytest.mark.parametrize("sparsity", [0.0, 0.4])
@@ -505,7 +513,7 @@ def test_mapping_problem_scores_like_the_full_problem(case):
         assert count_squares(small, m) == count_squares(full, m)
         assert ged_cost_direct(a, b, m, sim, d_node, d_edge) == nap.edit_cost(at_half, m)
         # its links are the full problem's links with both ends mapped, renumbered
-        midx = nap.candidate_indices(full, m)
+        midx = nap.candidate_indices(full.sim, m)
         both = np.isin(full.link_u, midx) & np.isin(full.link_v, midx)
         assert np.array_equal(np.searchsorted(midx, full.link_u[both]), small.link_u)
         assert np.array_equal(np.searchsorted(midx, full.link_v[both]), small.link_v)
@@ -519,7 +527,7 @@ def test_mapping_problem_rejects_pairs_like_candidate_indices():
     a = generate_graph(9, edge_density=0.3, seed=43, name="A")
     b = generate_graph(7, edge_density=0.3, seed=44, name="B")
     sim = build_similarity_matrix(a, b, SimilarityConfig(sparsity_ratio=0.5))
-    pruned = tuple(np.argwhere(sim.index < 0)[0].tolist())
+    pruned = tuple(np.argwhere(np.isnan(sim.to_dense()))[0].tolist())
     kept = (int(sim.rows[0]), int(sim.cols[0]))
     cases = [([(-1, 0)], "pair (-1, 0) is outside the problem"),
              ([kept, (9, 6)], "pair (9, 6) is outside the problem"),
@@ -541,13 +549,15 @@ def test_candidates_are_the_problem_without_links():
     problem = build_problem(sim, a, b, d_node=0.3)
     assert type(candidates) is Candidates and isinstance(problem, Candidates)
     assert not isinstance(candidates, NapProblem) and not hasattr(candidates, "link_u")
-    for field in dataclasses.fields(Candidates):
-        mine, theirs = getattr(candidates, field.name), getattr(problem, field.name)
-        if isinstance(mine, np.ndarray):
-            assert mine.dtype == theirs.dtype and mine.tobytes() == theirs.tobytes()
-        else:
-            assert mine == theirs
-    assert candidates.index is sim.index and np.shares_memory(candidates.cand_rows, sim.rows)
+    # the matrix itself, not copies of its fields, and the weights made from it
+    assert [field.name for field in dataclasses.fields(Candidates)] == ["sim", "node_weights"]
+    assert candidates.sim is sim and problem.sim is sim
+    mine, theirs = candidates.node_weights, problem.node_weights
+    assert mine.dtype == theirs.dtype == np.float64 and mine.tobytes() == theirs.tobytes()
+    for name in ("n_a", "n_b", "cand_rows", "cand_cols"):
+        assert getattr(candidates, name) is getattr(problem, name)
+    assert (candidates.n_a, candidates.n_b) == (sim.n_a, sim.n_b)
+    assert candidates.cand_rows is sim.rows and candidates.cand_cols is sim.cols
     assert candidates.n_candidates == problem.n_candidates
     assert solve_mcs_greedy(candidates, a, b) == solve_mcs_greedy(problem, a, b)
     with pytest.raises(ValueError, match="non-negative"):
@@ -557,7 +567,8 @@ def test_candidates_are_the_problem_without_links():
 @pytest.mark.parametrize("field, value", [
     ("d_node", float("nan")), ("d_node", float("inf")), ("d_node", -0.1), ("d_node", "0.5"),
     ("d_node", True), ("d_edge", float("nan")), ("d_edge", float("inf")), ("d_edge", -1.0),
-    ("d_edge", None),
+    ("d_edge", None), ("d_node", -0.0), ("d_edge", -0.0), ("alpha", -0.0), ("alpha", 1.5),
+    ("alpha", float("nan")),
 ])
 def test_build_rejects_non_finite_or_mistyped_costs(field, value):
     g = generate_graph(30, edge_density=0.1, seed=1)
@@ -570,3 +581,60 @@ def test_build_rejects_non_finite_or_mistyped_costs(field, value):
             build()
         assert "\n" not in str(info.value)
 
+
+
+class Untouchable:
+    """Stands in for the matrix's dense array: any access fails the test."""
+
+    def _refuse(self, *args, **kwargs):
+        raise AssertionError("the dense array was read outside SimilarityMatrix.lookup")
+
+    __getattr__ = __getitem__ = __setitem__ = __array__ = __len__ = __iter__ = _refuse
+
+
+def dict_lookup(sim):
+    """A reference for sim.lookup over a {(i, j): entry} dict of the kept pairs."""
+    table = {pair: k for k, pair in enumerate(zip(sim.rows.tolist(), sim.cols.tolist()))}
+
+    def lookup(i, j):
+        i, j = np.broadcast_arrays(np.asarray(i, dtype=np.int64), np.asarray(j, dtype=np.int64))
+        pos = [table.get(pair, -1) for pair in zip(i.ravel().tolist(), j.ravel().tolist())]
+        return np.array(pos, dtype=np.int64).reshape(i.shape)[()]
+    return lookup
+
+
+def test_every_reader_goes_through_lookup(monkeypatch):
+    a, b, sim, mappings = next((a, b, sim, m) for sparsity, a, b, sim, m in full_and_mapped_cases()
+                               if sparsity == 0.5)
+    d_node, d_edge = 0.4, 0.35
+
+    def results():
+        problem = build_problem(sim, a, b, alpha=0.6, d_node=d_node, d_edge=d_edge)
+        mcs = solve_mcs_greedy(build_candidates(sim, d_node), a, b)
+        scored = mappings + [mcs]
+        pairs = [(i, j) for i in range(-1, sim.n_a + 1) for j in range(-1, sim.n_b + 1)]
+        scores = []
+        for i, j in pairs:
+            try:
+                scores.append(sim.get(i, j))
+            except KeyError:
+                scores.append(None)
+        return {
+            "links": [problem.link_u.tolist(), problem.link_v.tolist(),
+                      problem.link_count.tolist()],
+            "candidates": [nap.candidate_indices(sim, m).tolist() for m in scored],
+            "mcs": mcs,
+            "get": scores,
+            "scores": [(nap_objective(problem, m), nap.edit_cost(problem, m),
+                        count_squares(problem, m), ged_cost_direct(a, b, m, sim, d_node, d_edge))
+                       for m in scored],
+        }
+
+    dense = results()
+    assert dense["get"].count(None) > sim.n_a + sim.n_b  # pruned pairs and pairs outside
+    assert max(count for _, _, count, _ in dense["scores"]) > 0
+    monkeypatch.setattr(sim, "_index", Untouchable())
+    monkeypatch.setattr(sim, "lookup", dict_lookup(sim))
+    assert results() == dense
+    with pytest.raises(AssertionError, match="outside SimilarityMatrix.lookup"):
+        SimilarityMatrix.lookup(sim, 0, 0)

@@ -2,6 +2,7 @@
 
 import importlib.util
 import os
+import re
 
 import pytest
 
@@ -42,3 +43,16 @@ def test_diff_memory_reports_one_diff(tmp_path, capsys):
                                                   "build_problem", "bp_iterate"]
     values = [float(line.split()[1]) for line in lines[1:]]
     assert values[0] > 0 and all(value >= 0 for value in values)
+
+
+def test_report_digests_cover_every_output_of_a_workload(capsys):
+    assert load_script("report_digests").main(["--seed", "11", "--workload", "churn"]) == 0
+    lines = [line.split(" ") for line in capsys.readouterr().out.splitlines()]
+    # 20 pairs, one variant each, and a diff, a ged and an eval per operation
+    assert len(lines) == 60
+    assert [(op, output) for _, op, output, _ in lines] == [
+        ("pair%03d/v0" % k, output) for k in range(20) for output in ("diff", "ged", "eval")]
+    for workload, _, _, digest in lines:
+        assert workload == "churn" and re.fullmatch("[0-9a-f]{64}", digest)
+    # each report names its own pair of programs
+    assert len({digest for _, _, output, digest in lines if output == "diff"}) == 20

@@ -73,13 +73,21 @@ def test_all_zero_group_weights_rejected():
                          neighborhood_weight=0.0)
 
 
-@pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0, "1.0"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0, "1.0", -0.0])
 @pytest.mark.parametrize("field", ["content_weight", "topology_weight",
                                    "neighborhood_weight", "perturbation_scale"])
 def test_config_rejects_non_finite_or_negative_values(field, value):
     with pytest.raises(ValueError) as info:
         SimilarityConfig(**{field: value})
     assert str(info.value) == "%s must be finite and non-negative, not %r" % (field, value)
+
+
+@pytest.mark.parametrize("value", [-0.0, -0.1, 1.5, float("nan")])
+def test_config_rejects_sparsity_ratio_outside_unit_interval(value):
+    with pytest.raises(ValueError) as info:
+        SimilarityConfig(sparsity_ratio=value)
+    assert str(info.value) == "sparsity_ratio must lie in [0, 1]"
+    assert SimilarityConfig(sparsity_ratio=0.0).sparsity_ratio == 0.0
 
 
 def test_check_is_shared_with_the_problem_build():
@@ -190,15 +198,18 @@ def test_entries_stay_lex_sorted_after_pruning():
 def test_lookup_helpers():
     a, b = make_graph(2, name="A"), make_graph(2, name="B")
     sim = build_similarity_matrix(a, b, SimilarityConfig())
-    assert sim.contains(0, 1)
+    assert sim.lookup(0, 1) == 1
     assert sim.get(0, 0) == pytest.approx(sim.to_dense()[0, 0])
     pruned = SimilarityMatrix(n_a=2, n_b=2,
                               rows=np.array([0], dtype=np.int64),
                               cols=np.array([1], dtype=np.int64),
                               scores=np.array([0.5]))
-    assert not pruned.contains(1, 0)
-    with pytest.raises(KeyError):
-        pruned.get(1, 0)
+    assert pruned.lookup(1, 0) == -1 and pruned.lookup(0, 1) == 0
+    assert pruned.lookup(np.array([[0], [1]]), np.array([0, 1])).tolist() == [[-1, 0], [-1, -1]]
+    assert pruned.get(0, 1) == 0.5
+    for i, j in ((1, 0), (2, 0), (0, 2), (-1, 1)):
+        with pytest.raises(KeyError):
+            pruned.get(i, j)
 
 
 def test_empty_graph_gives_empty_matrix():
@@ -322,7 +333,8 @@ def test_blocked_kernel_matches_reference_bit_for_bit(shape):
         assert np.array_equal(got.scores.view(np.int64), want.scores.view(np.int64))
         assert np.array_equal(got.rows, want.rows)
         assert np.array_equal(got.cols, want.cols)
-        assert np.array_equal(got.index, want.index)
+        i, j = np.indices((n_a, n_b))
+        assert np.array_equal(got.lookup(i, j), want.lookup(i, j))
 
 
 @pytest.mark.parametrize("width", range(1, 20))
