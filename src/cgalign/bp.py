@@ -35,7 +35,8 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .matchers import max_weight_matching
-from .nap import Mapping, NapProblem, check_non_negative, nap_objective
+from .graphs import check_range
+from .nap import Mapping, NapProblem, nap_objective
 
 MESSAGE_TOL = 1e-9  # max-norm change that counts as convergence
 TIE_TOL = 1e-12     # message differences below this are treated as ties
@@ -51,13 +52,10 @@ class BpConfig:
     threads: int = 1              # accepted for compatibility: BP runs on one thread
 
     def __post_init__(self):
-        check_non_negative(epsilon=self.epsilon, damping=self.damping)
-        if self.damping >= 1.0:
-            raise ValueError("damping must lie in [0, 1)")
-        for name, value, low in (("max_iterations", self.max_iterations, 0),
-                                 ("threads", self.threads, 1)):
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
-                raise ValueError("%s must be an integer >= %d, not %r" % (name, low, value))
+        check_range("epsilon", self.epsilon)
+        check_range("damping", self.damping, high=1, open_high=True)
+        check_range("max_iterations", self.max_iterations, integer=True)
+        check_range("threads", self.threads, low=1, integer=True)
 
 
 class BpState:

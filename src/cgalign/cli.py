@@ -10,7 +10,6 @@ Exit codes: 0 on success, 1 for usage errors, 2 for bad input data.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import math
 import sys
@@ -18,7 +17,8 @@ from typing import List, Optional, Tuple
 
 from . import bp, evaluation, matchers, nap, similarity, synthetic
 from .errors import DataError
-from .graphs import CallGraph, load_call_graph, read_json, save_call_graph, validate_pair
+from .graphs import (CallGraph, check_range, load_call_graph, read_json, save_call_graph,
+                     validate_pair, write_json)
 
 GED_AGREEMENT_TOL = 1e-9
 MAX_THREADS = 64  # cap on diff --threads, kept for compatibility: BP runs on one thread
@@ -36,22 +36,16 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _ranged(kind, low, high=math.inf, open_high=False):
-    """argparse type: a finite `kind` in [low, high], or in [low, high) if open_high."""
-    span = "%s %s" % ("an integer" if kind is int else "a finite number",
-                      ">= %s" % low if high == math.inf else
-                      "in [%s, %s%s" % (low, high, ")" if open_high else "]"))
-
+    """argparse type: text that `kind` parses to a value check_range accepts."""
     def parse(text: str):
         try:
             value = kind(text)
-            inside = (math.isfinite(value) and low <= value
-                      and (low < 0 or math.copysign(1.0, value) > 0)  # -0.0 is below 0
-                      and (value < high if open_high else value <= high))
-        except (ValueError, OverflowError):  # an int too large for a float overflows
-            inside = False
-        if not inside:
-            raise argparse.ArgumentTypeError("%r is not %s" % (text, span))
-        return value
+        except ValueError:
+            value = text  # not a number, which check_range refuses
+        try:
+            return check_range("value", value, low, high, kind is int, open_high)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc))
     return parse
 
 
@@ -144,15 +138,6 @@ def _load_report(path: str) -> List[Tuple]:
     return pairs
 
 
-@contextlib.contextmanager
-def _writing(path: str):
-    """Report a failure to write `path` as bad input rather than a traceback."""
-    try:
-        yield
-    except OSError as exc:
-        raise DataError("cannot write %s: %s" % (path, exc.strerror or exc))
-
-
 def _key_to_id(key, graph: CallGraph, names: dict, side: str) -> int:
     """Function id of a report or truth key, which their readers check is an int or a str."""
     if isinstance(key, int):
@@ -226,9 +211,7 @@ def cmd_diff(args) -> int:
         "converged": converged,
     }
     if args.output:
-        with _writing(args.output), open(args.output, "w", encoding="utf-8") as handle:
-            json.dump(report, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        write_json(args.output, report)
     if args.json:
         print(json.dumps(report, indent=2, sort_keys=True))
     else:
@@ -320,14 +303,11 @@ def cmd_generate(args) -> int:
             mutated, truth = synthetic.mutate(graph, spec, seed=args.seed + 1)
     except ValueError as exc:
         raise DataError(str(exc))
-    with _writing(args.out):
-        save_call_graph(graph, args.out)
+    save_call_graph(graph, args.out)
     outputs = [args.out]
     if args.mutate is not None:
-        with _writing(args.out_b):
-            save_call_graph(mutated, args.out_b)
-        with _writing(args.out_truth):
-            evaluation.save_ground_truth(truth, args.out_truth)
+        save_call_graph(mutated, args.out_b)
+        evaluation.save_ground_truth(truth, args.out_truth)
         outputs += [args.out_b, args.out_truth]
     print("wrote " + ", ".join(outputs))
     return 0

@@ -8,12 +8,11 @@ scored even when only adjacent-version truth exists.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Set, Tuple, Union
 
 from .errors import CompositionError, FormatError
-from .graphs import CallGraph, read_json
+from .graphs import CallGraph, read_json, write_json
 from .nap import Mapping
 
 FORMAT_VERSION = 1
@@ -76,9 +75,7 @@ def load_ground_truth(path: str) -> GroundTruth:
 def save_ground_truth(truth: GroundTruth, path: str):
     doc = {"format_version": FORMAT_VERSION,
            "pairs": [list(pair) for pair in truth.sorted_pairs()]}
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(doc, handle, indent=2)
-        handle.write("\n")
+    write_json(path, doc)
 
 
 def extrapolate(chain: Sequence[GroundTruth]) -> GroundTruth:

@@ -19,7 +19,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from .errors import FormatError, GraphMismatchError
+from .errors import DataError, FormatError, GraphMismatchError
 
 log = logging.getLogger(__name__)
 
@@ -31,12 +31,33 @@ TOPOLOGY_KEYS = ("blocks", "jumps", "max_block_callers", "max_block_callees")
 NEIGHBORHOOD_KEYS = ("callers", "callees")
 
 
+def check_range(name: str, value, low=0, high=math.inf, integer: bool = False,
+                open_high: bool = False):
+    """`value` if it is a number in [low, high] ([low, high) if open_high), else a ValueError.
+
+    The rule of every numeric setting: a bool is not a number, an `integer` setting is an
+    int or np.integer, its float is finite, and -0.0 is below a lower bound of 0.
+    """
+    number = math.nan
+    if not isinstance(value, bool) and isinstance(value, (int, np.integer) if integer else Real):
+        try:
+            number = float(value)
+        except OverflowError:  # an int too large for a float stays nan
+            pass
+    if not (math.isfinite(number) and low <= number
+            and (low < 0 or math.copysign(1.0, number) > 0)
+            and (number < high if open_high else number <= high)):
+        raise ValueError("%s must be %s %s, not %r" % (
+            name, "an integer" if integer else "a finite number",
+            ">= %s" % low if high == math.inf else
+            "in [%s, %s%s" % (low, high, ")" if open_high else "]"), value))
+    return value
+
+
 def check_non_negative(**values: float) -> None:
-    """Raise ValueError unless each named value is a finite real number >= 0, not -0.0."""
+    """Raise ValueError unless each named value is a finite number >= 0, not -0.0."""
     for name, value in values.items():
-        if (isinstance(value, bool) or not isinstance(value, Real) or not 0 <= value < np.inf
-                or value == 0 and math.copysign(1.0, value) < 0):
-            raise ValueError("%s must be finite and non-negative, not %r" % (name, value))
+        check_range(name, value)
 
 
 def feature_group_sizes(n_classes: int) -> Tuple[int, int, int]:
@@ -307,10 +328,18 @@ def serialize_call_graph(graph: CallGraph) -> dict:
     }
 
 
+def write_json(path: str, doc) -> None:
+    """Write a document as indented JSON with sorted keys; a failure is a DataError."""
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(doc, handle, indent=2, sort_keys=True)
+            handle.write("\n")
+    except OSError as exc:
+        raise DataError("cannot write %s: %s" % (path, exc.strerror or exc))
+
+
 def save_call_graph(graph: CallGraph, path: str):
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(serialize_call_graph(graph), handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    write_json(path, serialize_call_graph(graph))
 
 
 def validate_pair(a: CallGraph, b: CallGraph):

@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .errors import SearchSpaceError
-from .graphs import CallGraph
+from .graphs import CallGraph, check_range
 from .nap import Candidates, Mapping, NapProblem
 
 BRUTE_FORCE_LIMIT = 10_000_000  # refuse to enumerate more mappings than this
@@ -118,7 +118,7 @@ def _k_hop(adjacency: List[List[int]], start: int, k: int) -> List[int]:
     seen = {start}
     frontier = [start]
     reached = set()
-    for _ in range(k):
+    for _ in range(min(k, len(adjacency))):  # no path is longer: a huge k ends too
         nxt = []
         for node in frontier:
             for other in adjacency[node]:
@@ -145,8 +145,7 @@ def solve_mcs_greedy(problem: Candidates, a: CallGraph, b: CallGraph,
     graphs without edges this degenerates to plain maximum-weight matching.
     Ties are broken toward lexicographically smaller pairs throughout.
     """
-    if k < 1:
-        raise ValueError("k must be positive")
+    check_range("k", k, low=1, integer=True)
     if problem.n_candidates == 0:
         return Mapping.empty()
     rows, cols, w = problem.cand_rows, problem.cand_cols, problem.node_weights

@@ -19,14 +19,13 @@ found through sim.lookup.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, List, Tuple
 
 import numpy as np
 
 from .errors import MappingError
-from .graphs import CallGraph, check_non_negative
+from .graphs import CallGraph, check_non_negative, check_range
 from .similarity import SimilarityMatrix
 
 
@@ -183,8 +182,7 @@ def build_problem(sim: SimilarityMatrix, a: CallGraph, b: CallGraph,
     link_u itself.  They are dropped before link_v is allocated, so the
     merge never holds the keys and both link arrays at once.
     """
-    if not 0.0 <= alpha <= 1.0 or math.copysign(1.0, alpha) < 0:  # -0.0 too
-        raise ValueError("alpha must lie in [0, 1]")
+    check_range("alpha", alpha, high=1)
     check_non_negative(d_node=d_node, d_edge=d_edge)
     keys = _link_keys(sim, a, b)
     keys.sort()

@@ -17,13 +17,12 @@ and non-negative, which CallGraph validates and canberra_similarity checks.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from .graphs import CallGraph, check_non_negative, feature_group_sizes, validate_pair
+from .graphs import CallGraph, check_non_negative, check_range, feature_group_sizes, validate_pair
 
 # elements per scratch buffer of the similarity kernel (512 KiB of float64):
 # each row block of the score matrix is computed in two such buffers
@@ -45,8 +44,7 @@ class SimilarityConfig:
                            perturbation_scale=self.perturbation_scale)
         if self.content_weight + self.topology_weight + self.neighborhood_weight <= 0:
             raise ValueError("group weights must not all be zero")
-        if not 0.0 <= self.sparsity_ratio <= 1.0 or math.copysign(1.0, self.sparsity_ratio) < 0:
-            raise ValueError("sparsity_ratio must lie in [0, 1]")
+        check_range("sparsity_ratio", self.sparsity_ratio, high=1)
 
 
 def feature_weights(n_classes: int, config: SimilarityConfig) -> np.ndarray:

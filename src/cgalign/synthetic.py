@@ -16,9 +16,10 @@ from typing import List, Optional, Set, Tuple
 import numpy as np
 
 from .evaluation import GroundTruth
-from .graphs import NEIGHBORHOOD_KEYS, TOPOLOGY_KEYS, CallGraph
+from .graphs import NEIGHBORHOOD_KEYS, TOPOLOGY_KEYS, CallGraph, check_range
 
 DEFAULT_CLASSES = ("arith", "logic", "mem", "branch", "call", "other")
+MASK_BLOCK = 65_536  # call-mask elements per draw; row blocks give one whole draw's values
 
 
 @dataclass(frozen=True)
@@ -32,10 +33,9 @@ class MutationSpec:
     noise: int = 8    # magnitude of the feature noise
 
     def __post_init__(self):
-        if min(self.insert, self.delete, self.perturb, self.rewire) < 0:
-            raise ValueError("mutation counts must be non-negative")
-        if self.noise < 1:
-            raise ValueError("noise must be at least 1")
+        for name in ("insert", "delete", "perturb", "rewire"):
+            check_range(name, getattr(self, name), integer=True)
+        check_range("noise", self.noise, low=1, integer=True)
 
 
 def _draw_features(rng: np.random.Generator, count: int,
@@ -76,28 +76,28 @@ def generate_graph(n: int, edge_density: float = 0.1, seed: int = 0,
     per four functions) and adds small noise, then gets independent random
     call edges with the given density.
     """
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    if not 0.0 <= edge_density <= 1.0:
-        raise ValueError("edge_density must lie in [0, 1]")
-    rng = np.random.default_rng(seed)
+    check_range("n", n, integer=True)
+    check_range("edge_density", edge_density, high=1)
     if templates is None:
         templates = max(1, n // 4)
-    if templates < 1:
-        raise ValueError("templates must be at least 1")
+    check_range("templates", templates, low=1, integer=True)
+    rng = np.random.default_rng(seed)
     base = _draw_features(rng, templates, len(classes))
 
     rows = [_jitter(rng, base[int(rng.integers(0, len(base)))], amount=2) for _ in range(n)]
 
-    edges = np.empty((0, 2), dtype=np.int64)
+    calls = [np.empty((0, 2), dtype=np.int64)]
     if n > 1 and edge_density > 0:
-        mask = rng.random((n, n)) < edge_density
-        np.fill_diagonal(mask, False)
-        edges = np.argwhere(mask)
+        step = max(1, MASK_BLOCK // n)  # rows of the (n, n) call mask per draw
+        for start in range(0, n, step):
+            mask = rng.random((min(step, n - start), n)) < edge_density
+            diagonal = np.arange(len(mask))
+            mask[diagonal, diagonal + start] = False  # no self-loops
+            calls.append(np.argwhere(mask) + (start, 0))
 
     order = [int(x) for x in rng.permutation(n)]
     names = ["fn%04d" % i for i in range(n)]
-    return _assemble(name or "synthetic-%d" % seed, classes, rows, order, names, edges)
+    return _assemble(name or "synthetic-%d" % seed, classes, rows, order, names, np.vstack(calls))
 
 
 def _jitter(rng: np.random.Generator, row, amount: int) -> Tuple[float, ...]:

@@ -11,10 +11,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cgalign import (CallGraph, FormatError, GraphMismatchError, MutationSpec,
-                     generate_graph, load_call_graph, mutate, parse_call_graph,
-                     save_call_graph, serialize_call_graph, validate_pair)
-from cgalign.graphs import NEIGHBORHOOD_KEYS, TOPOLOGY_KEYS, feature_group_sizes
+from cgalign import (CallGraph, DataError, FormatError, GraphMismatchError, GroundTruth,
+                     MutationSpec, generate_graph, load_call_graph, mutate, parse_call_graph,
+                     save_call_graph, save_ground_truth, serialize_call_graph, validate_pair)
+from cgalign.graphs import NEIGHBORHOOD_KEYS, TOPOLOGY_KEYS, feature_group_sizes, write_json
 
 from conftest import make_features, make_graph, same_graph
 
@@ -168,6 +168,26 @@ def test_save_load_round_trip(tmp_path):
     save_call_graph(g, path)
     loaded = load_call_graph(path)
     assert same_graph(loaded, g)
+
+
+def test_write_json_indents_sorts_keys_and_ends_with_a_newline(tmp_path):
+    doc = {"b": [1, 2.5, {"z": None, "a": "x"}], "a": True}
+    path = tmp_path / "doc.json"
+    write_json(str(path), doc)
+    assert path.read_text(encoding="utf-8") == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("save", [
+    lambda path: write_json(path, {}),
+    lambda path: save_call_graph(make_graph(2), path),
+    lambda path: save_ground_truth(GroundTruth.from_pairs([("f", "g")]), path),
+])
+def test_a_failed_write_is_a_one_line_data_error(tmp_path, save):
+    for path in (str(tmp_path / "missing" / "out.json"), str(tmp_path)):
+        with pytest.raises(DataError) as info:
+            save(path)
+        assert str(info.value).startswith("cannot write %s: " % path)
+        assert "\n" not in str(info.value)
 
 
 def test_validate_pair_accepts_same_classes():

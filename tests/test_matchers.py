@@ -231,6 +231,8 @@ def test_mcs_k_controls_expansion_radius():
     sim = dense_sim([[0.9, 0.2, 0.1], [0.2, 0.9, 0.2], [0.1, 0.2, 0.9]])
     p = build_problem(sim, a, b)
     assert solve_mcs_greedy(p, a, b, k=1) == solve_mcs_greedy(p, a, b, k=2)
+    # no neighbourhood is deeper than the graph, so a huge radius ends at once
+    assert solve_mcs_greedy(p, a, b, k=10 ** 18) == solve_mcs_greedy(p, a, b, k=3)
 
 
 def test_undirected_adjacency_merges_both_directions():

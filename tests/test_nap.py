@@ -236,13 +236,17 @@ def test_ged_editpath_rejects_unscored_pair():
         ged_cost_editpath(a, b, Mapping.from_pairs([missing]), sim)
 
 
-@pytest.mark.parametrize("field, value, message", [
-    ("d_node", float("nan"), "d_node must be finite and non-negative, not nan"),
-    ("d_node", -0.5, "d_node must be finite and non-negative, not -0.5"),
-    ("d_edge", float("inf"), "d_edge must be finite and non-negative, not inf"),
-    ("d_edge", "0.5", "d_edge must be finite and non-negative, not '0.5'"),
-    ("d_edge", -0.0, "d_edge must be finite and non-negative, not -0.0"),
-])
+BAD_COSTS = [
+    ("d_node", float("nan"), "d_node must be a finite number >= 0, not nan"),
+    ("d_node", -0.5, "d_node must be a finite number >= 0, not -0.5"),
+    ("d_edge", float("inf"), "d_edge must be a finite number >= 0, not inf"),
+    ("d_edge", "0.5", "d_edge must be a finite number >= 0, not '0.5'"),
+    ("d_edge", -0.0, "d_edge must be a finite number >= 0, not -0.0"),
+]
+
+
+@pytest.mark.parametrize("field, value, message", BAD_COSTS,
+                         ids=["%s-%s" % (field, value) for field, value, _ in BAD_COSTS])
 def test_ged_routes_refuse_the_same_costs(field, value, message):
     a, b, sim = square_instance()
     costs = dict(d_node=0.5, d_edge=0.5)
@@ -560,7 +564,7 @@ def test_candidates_are_the_problem_without_links():
     assert candidates.cand_rows is sim.rows and candidates.cand_cols is sim.cols
     assert candidates.n_candidates == problem.n_candidates
     assert solve_mcs_greedy(candidates, a, b) == solve_mcs_greedy(problem, a, b)
-    with pytest.raises(ValueError, match="non-negative"):
+    with pytest.raises(ValueError, match="a finite number >= 0"):
         build_candidates(sim, d_node=-0.1)
 
 

@@ -56,3 +56,23 @@ def test_report_digests_cover_every_output_of_a_workload(capsys):
         assert workload == "churn" and re.fullmatch("[0-9a-f]{64}", digest)
     # each report names its own pair of programs
     assert len({digest for _, _, output, digest in lines if output == "diff"}) == 20
+
+
+def test_ab_summary_counts_wins_in_each_metrics_direction():
+    def run(**metrics):
+        return {"exit": 0, "correct": True, "failed": 0, "metrics": metrics}
+
+    base = [run(diff_s=s, recall=0.9) for s in (1.0, 2.0, 3.0, 4.0, 5.0)]
+    head = [run(diff_s=s, recall=r) for s, r in ((0.5, 0.9), (1.5, 0.95), (3.5, 0.8),
+                                                 (2.0, 0.9), (4.0, 1.0))]
+    pairs = [{"base": b, "head": h} for b, h in zip(base, head)]
+    pairs.append({"base": {"exit": 3}, "head": run(diff_s=0.1, recall=0.1)})  # a failed run
+    summary = load_script("ab").summarize(pairs, {"diff_s": "lower", "recall": "higher",
+                                                  "ged_s": "lower"})
+    assert set(summary) == {"diff_s", "recall"}  # no run reported ged_s
+    diff_s, recall = summary["diff_s"], summary["recall"]
+    assert (diff_s["pairs"], diff_s["base_median"], diff_s["head_median"]) == (5, 3.0, 2.0)
+    assert diff_s["base_iqr"] == 3.0  # quartiles 1.5 and 4.5 of 1..5, exclusive method
+    assert diff_s["change"] == pytest.approx(-1 / 3)
+    assert diff_s["wins"] == 4 and diff_s["better"] == "lower"  # 3.5 lost to 3.0
+    assert recall["wins"] == 2 and recall["base_iqr"] == 0.0  # ties are no wins

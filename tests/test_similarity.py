@@ -79,14 +79,14 @@ def test_all_zero_group_weights_rejected():
 def test_config_rejects_non_finite_or_negative_values(field, value):
     with pytest.raises(ValueError) as info:
         SimilarityConfig(**{field: value})
-    assert str(info.value) == "%s must be finite and non-negative, not %r" % (field, value)
+    assert str(info.value) == "%s must be a finite number >= 0, not %r" % (field, value)
 
 
 @pytest.mark.parametrize("value", [-0.0, -0.1, 1.5, float("nan")])
 def test_config_rejects_sparsity_ratio_outside_unit_interval(value):
     with pytest.raises(ValueError) as info:
         SimilarityConfig(sparsity_ratio=value)
-    assert str(info.value) == "sparsity_ratio must lie in [0, 1]"
+    assert str(info.value) == "sparsity_ratio must be a finite number in [0, 1], not %r" % value
     assert SimilarityConfig(sparsity_ratio=0.0).sparsity_ratio == 0.0
 
 
