@@ -19,7 +19,6 @@ from .evaluation import GroundTruth
 from .graphs import NEIGHBORHOOD_KEYS, TOPOLOGY_KEYS, CallGraph, check_range
 
 DEFAULT_CLASSES = ("arith", "logic", "mem", "branch", "call", "other")
-MASK_BLOCK = 65_536  # call-mask elements per draw; row blocks give one whole draw's values
 
 
 @dataclass(frozen=True)
@@ -86,18 +85,15 @@ def generate_graph(n: int, edge_density: float = 0.1, seed: int = 0,
 
     rows = [_jitter(rng, base[int(rng.integers(0, len(base)))], amount=2) for _ in range(n)]
 
-    calls = [np.empty((0, 2), dtype=np.int64)]
+    edges = np.empty((0, 2), dtype=np.int64)
     if n > 1 and edge_density > 0:
-        step = max(1, MASK_BLOCK // n)  # rows of the (n, n) call mask per draw
-        for start in range(0, n, step):
-            mask = rng.random((min(step, n - start), n)) < edge_density
-            diagonal = np.arange(len(mask))
-            mask[diagonal, diagonal + start] = False  # no self-loops
-            calls.append(np.argwhere(mask) + (start, 0))
+        mask = rng.random((n, n)) < edge_density
+        np.fill_diagonal(mask, False)
+        edges = np.argwhere(mask)
 
     order = [int(x) for x in rng.permutation(n)]
     names = ["fn%04d" % i for i in range(n)]
-    return _assemble(name or "synthetic-%d" % seed, classes, rows, order, names, np.vstack(calls))
+    return _assemble(name or "synthetic-%d" % seed, classes, rows, order, names, edges)
 
 
 def _jitter(rng: np.random.Generator, row, amount: int) -> Tuple[float, ...]:

@@ -76,3 +76,17 @@ def test_ab_summary_counts_wins_in_each_metrics_direction():
     assert diff_s["change"] == pytest.approx(-1 / 3)
     assert diff_s["wins"] == 4 and diff_s["better"] == "lower"  # 3.5 lost to 3.0
     assert recall["wins"] == 2 and recall["base_iqr"] == 0.0  # ties are no wins
+
+
+@pytest.mark.parametrize("body, reason", [
+    ("print('not json')", "unreadable result (JSONDecodeError"),
+    ("pass", "unreadable result (IndexError"),
+    ("import time; time.sleep(30)", "no result within 1 s"),
+])
+def test_ab_run_without_a_result_is_a_failed_run(body, reason, tmp_path, monkeypatch):
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text(body + "\n")
+    ab = load_script("ab")
+    monkeypatch.setattr(ab, "RUN_TIMEOUT_S", 1)
+    run = ab.run_once(str(tmp_path), "churn", 11, 20)
+    assert run["exit"] == -1 and run["stderr"].startswith(reason) and "metrics" not in run

@@ -2,14 +2,13 @@
 
 import dataclasses
 import hashlib
-import tracemalloc
 
 import numpy as np
 import pytest
 
 from cgalign import (BpConfig, MutationSpec, SimilarityConfig, build_problem,
                      build_similarity_matrix, generate_graph, mapping_to_keys,
-                     mutate, save_call_graph, save_ground_truth, score, solve_nap, synthetic)
+                     mutate, save_call_graph, save_ground_truth, score, solve_nap)
 
 from conftest import make_graph, same_graph
 
@@ -51,32 +50,6 @@ def test_generator_rejects_bad_arguments():
     for templates in (0, -1):
         with pytest.raises(ValueError, match="templates"):
             generate_graph(5, templates=templates)
-
-
-@pytest.mark.parametrize("n, density", [(1000, 0.01), (600, 0.3)])
-def test_call_mask_drawn_in_row_blocks_equals_one_whole_draw(n, density):
-    assert n > 3 * (synthetic.MASK_BLOCK // n)  # several blocks, the last one short
-    graph = generate_graph(n, edge_density=density, seed=7)
-    # the generator's draws up to the mask, then the whole (n, n) mask at once
-    rng = np.random.default_rng(7)
-    base = synthetic._draw_features(rng, n // 4, len(synthetic.DEFAULT_CLASSES))
-    for _ in range(n):
-        synthetic._jitter(rng, base[int(rng.integers(0, len(base)))], amount=2)
-    mask = rng.random((n, n)) < density
-    np.fill_diagonal(mask, False)
-    assert np.array_equal(graph.edges, np.argwhere(mask))
-    # the blocks leave the generator where the whole draw does: the next draw agrees
-    assert np.array_equal(graph.order, rng.permutation(n))
-
-
-def test_call_mask_never_holds_the_whole_matrix():
-    tracemalloc.start()
-    try:
-        generate_graph(4000, edge_density=3 / 3999, seed=11)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 16 * 2 ** 20  # one whole (n, n) draw alone is 122 MiB
 
 
 def test_mutation_spec_validation():
