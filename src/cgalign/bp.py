@@ -10,8 +10,13 @@ All updates read the previous iteration's messages (Jacobi schedule).  A
 candidate's belief p_hat combines its weight, penalties for not being the
 best in its row and column, and clamped support from incident links.  It is
 a plain field of the state, computed with the messages it belongs to: once
-by init_state and once by every bp_iterate.  estimate_mode only rounds it:
-the candidates with positive belief, made one-to-one by max_weight_matching.
+by init_state and once by every bp_iterate.  Rounding it gives the mode:
+the candidates with positive belief, made one-to-one.  A positive pair alone
+in its row and column is taken directly, and the matching kernel's dense
+assignment runs over the conflicted rows and columns only.  solve_nap keeps
+each mode as ascending candidate positions, scores it from them with
+nap.objective_at and builds one Mapping, from the best, at the end;
+estimate_mode is the same rounding as a Mapping.
 
 Row/column maxima excluding the candidate itself are computed per segment
 with a top-2 trick, so one iteration costs O(candidates + links).  A state
@@ -34,9 +39,9 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .matchers import max_weight_matching
+from .matchers import assign
 from .graphs import check_range
-from .nap import Mapping, NapProblem, nap_objective
+from .nap import Mapping, NapProblem, objective_at
 
 MESSAGE_TOL = 1e-9  # max-norm change that counts as convergence
 TIE_TOL = 1e-12     # message differences below this are treated as ties
@@ -106,6 +111,8 @@ class BpDiagnostics:
     ops_total: int
     message_memory_bytes: int
     seconds: float
+    mode_seconds: float   # of seconds, rounding beliefs to modes, summed over steps
+    score_seconds: float  # of seconds, scoring the modes, summed over steps
 
 
 def _segments(sorted_ids: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -277,19 +284,47 @@ def bp_iterate(problem: NapProblem, state: BpState,
     return state
 
 
+def _mode_positions(problem: NapProblem, state: BpState) -> np.ndarray:
+    """Ascending candidate positions of the mode: the positive beliefs, made one-to-one.
+
+    A positive pair alone in its row and its column is in every maximum-weight
+    matching, so it is taken directly.  The kernel's assignment runs once, over
+    the rest: a matrix over the conflicted rows and columns only.
+    """
+    rows, cols, belief = problem.cand_rows, problem.cand_cols, state.p_hat
+    taken = None  # positions of the positive beliefs; None when that is every candidate
+    positive = belief > 0.0
+    if not positive.all():  # else the arrays themselves, as at step 0 of most problems
+        taken = np.flatnonzero(positive)
+        rows, cols, belief = rows[taken], cols[taken], belief[taken]
+    lone = (np.bincount(rows) == 1)[rows]
+    lone &= (np.bincount(cols) == 1)[cols]
+    lone_at = np.flatnonzero(lone)
+    if taken is not None:
+        lone_at = taken[lone_at]
+    if len(lone_at) == len(rows):
+        return lone_at
+    if len(lone_at):
+        conflicted = ~lone
+        rows, cols, belief = rows[conflicted], cols[conflicted], belief[conflicted]
+    positions = np.concatenate((lone_at, problem.sim.lookup(*assign(rows, cols, belief))))
+    positions.sort()
+    return positions
+
+
+def _mapping_at(problem: NapProblem, positions: np.ndarray) -> Mapping:
+    return Mapping.from_pairs(zip(problem.cand_rows[positions].tolist(),
+                                  problem.cand_cols[positions].tolist()))
+
+
 def estimate_mode(problem: NapProblem, state: BpState) -> Mapping:
     """Round the current belief to a one-to-one mapping.
 
     Candidates with p_hat <= 0 are dropped; the rest are made one-to-one by
-    an exact matching over the rows and columns they touch.
+    an exact matching over the rows and columns where they conflict.
     """
     _check_problem(problem, state)
-    rows, cols, belief = problem.cand_rows, problem.cand_cols, state.p_hat
-    positive = belief > 0.0
-    if not positive.all():  # else the arrays themselves, as at step 0 of most problems
-        positive = np.flatnonzero(positive)
-        rows, cols, belief = rows[positive], cols[positive], belief[positive]
-    return max_weight_matching(rows, cols, belief)
+    return _mapping_at(problem, _mode_positions(problem, state))
 
 
 def solve_nap(problem: NapProblem,
@@ -299,16 +334,18 @@ def solve_nap(problem: NapProblem,
     The empty mapping (objective 0) is the initial incumbent, so the result
     never has a negative objective.  Step 0 scores the zero-message mode
     (weights plus optimistic link support, a strong matching on its own),
-    step k the mode after k updates.  Stops early when messages change by
-    less than MESSAGE_TOL in max-norm or the mode stays identical for
-    MODE_STABLE_WINDOW consecutive iterations.
+    step k the mode after k updates.  Modes are rounded, scored and compared
+    as candidate positions, and the best one becomes a Mapping at the end.
+    Stops early when messages change by less than MESSAGE_TOL in max-norm or
+    the mode stays identical for MODE_STABLE_WINDOW consecutive iterations.
     """
     config = config or BpConfig()
     started = time.perf_counter()
     state = init_state(problem, config)
-    best, best_objective = Mapping.empty(), 0.0
+    best, best_objective = np.empty(0, dtype=np.int64), 0.0
     trace: List[float] = []
     ops_total = 0
+    mode_seconds = score_seconds = 0.0
     stop_reason, converged = "iteration_limit", False
     previous_mode, stable = None, 0
 
@@ -317,15 +354,19 @@ def solve_nap(problem: NapProblem,
         if step:
             bp_iterate(problem, state, config)
             ops_total += state.ops_last
-        mode = estimate_mode(problem, state)
-        objective = nap_objective(problem, mode)
+        rounding = time.perf_counter()
+        mode = _mode_positions(problem, state)
+        scoring = time.perf_counter()
+        objective = objective_at(problem, mode)
+        mode_seconds += scoring - rounding
+        score_seconds += time.perf_counter() - scoring
         trace.append(objective)
         if objective > best_objective:
             best, best_objective = mode, objective
         if state.delta < MESSAGE_TOL:
             stop_reason, converged = "message_tolerance", True
             break
-        if mode == previous_mode:
+        if previous_mode is not None and np.array_equal(mode, previous_mode):
             stable += 1
             if stable >= MODE_STABLE_WINDOW:
                 stop_reason, converged = "mode_stable", True
@@ -345,5 +386,7 @@ def solve_nap(problem: NapProblem,
         ops_total=ops_total,
         message_memory_bytes=state.message_memory_bytes(),
         seconds=time.perf_counter() - started,
+        mode_seconds=mode_seconds,
+        score_seconds=score_seconds,
     )
-    return best, diagnostics
+    return _mapping_at(problem, best), diagnostics

@@ -1,6 +1,11 @@
-"""The exact matching kernel, which also rounds BP beliefs, and the baseline
-matchers: exact linear matching, greedy structural matching, and
-exhaustive search for tiny instances.
+"""The exact matching kernel, and the baseline matchers: exact linear
+matching, greedy structural matching, and exhaustive search for tiny
+instances.
+
+The kernel is max_weight_matching.  Its core, assign, runs one dense
+assignment over the distinct rows and columns it is given and returns the
+matched pairs as arrays; BP's rounding calls it on the conflicted part of
+the positive beliefs alone and builds no Mapping.
 
 The kernel's assignment is scipy's compiled `linear_sum_assignment`.  It is
 loaded once, at import, straight from its extension file in the scipy
@@ -66,29 +71,44 @@ linear_sum_assignment = load_linear_sum_assignment(_scipy_dir())
 def max_weight_matching(rows: np.ndarray, cols: np.ndarray, w: np.ndarray) -> Mapping:
     """Exact maximum-weight matching over the pairs (rows[t], cols[t]) of weight w[t].
 
-    Pairs with non-positive weight are never matched.  The assignment runs
-    on a dense matrix over the distinct rows and columns given, with weights
-    clamped at 0, so those rows and columns also decide which of several
-    optimal matchings comes out.  When the positive pairs already share no
-    row or column, they are the unique optimum and are returned without an
-    assignment.
+    Ids are non-negative.  Pairs with non-positive weight are never
+    matched.  The assignment runs on a dense matrix over the distinct rows
+    and columns given, with weights clamped at 0, so those rows and columns
+    also decide which of several optimal matchings comes out.  When the
+    positive pairs already share no row or column, they are the unique
+    optimum and are returned without an assignment.
     """
     positive = w > 0.0
     pos_rows, pos_cols = rows[positive], cols[positive]
-    if (len(np.unique(pos_rows)) == len(pos_rows)
-            and len(np.unique(pos_cols)) == len(pos_cols)):
+    if _distinct(pos_rows) and _distinct(pos_cols):
         return Mapping.from_pairs(zip(pos_rows.tolist(), pos_cols.tolist()))
     del positive, pos_rows, pos_cols
-    # the positions np.unique's return_inverse gives, without its n-length temporaries
-    row_ids, col_ids = np.unique(rows), np.unique(cols)
-    dense = np.zeros((len(row_ids), len(col_ids)))
+    return Mapping.from_pairs(zip(*(ids.tolist() for ids in assign(rows, cols, w))))
+
+
+def _distinct(ids: np.ndarray) -> bool:
+    """Whether no id repeats."""
+    return len(ids) == 0 or int(np.bincount(ids).max()) == 1
+
+
+def assign(rows: np.ndarray, cols: np.ndarray, w: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(rows, cols) of the pairs one dense assignment matches, rows ascending.
+
+    The kernel's core, for at least one pair: the matrix spans the distinct
+    rows and columns given, in ascending order, with weights clamped at 0,
+    and only the positive cells it picks are returned.
+    """
+    row_seen, col_seen = np.bincount(rows) > 0, np.bincount(cols) > 0
+    # each id's rank among the distinct ids: the positions np.unique's
+    # return_inverse gives, without sorting
+    row_at, col_at = np.cumsum(row_seen) - 1, np.cumsum(col_seen) - 1
+    dense = np.zeros((row_at[-1] + 1, col_at[-1] + 1))
     # clamp: taking a non-positive pair is never better than skipping it,
     # and a negative cell could otherwise force a worse assignment
-    dense[np.searchsorted(row_ids, rows), np.searchsorted(col_ids, cols)] = np.maximum(w, 0.0)
+    dense[row_at[rows], col_at[cols]] = np.maximum(w, 0.0)
     sel_r, sel_c = linear_sum_assignment(dense, maximize=True)
     chosen = dense[sel_r, sel_c] > 0.0
-    return Mapping.from_pairs(zip(row_ids[sel_r[chosen]].tolist(),
-                                  col_ids[sel_c[chosen]].tolist()))
+    return np.flatnonzero(row_seen)[sel_r[chosen]], np.flatnonzero(col_seen)[sel_c[chosen]]
 
 
 def solve_mwm(weights: Dict[Tuple[int, int], float]) -> Mapping:

@@ -233,31 +233,39 @@ def mapping_problem(sim: SimilarityMatrix, a: CallGraph, b: CallGraph, mapping: 
     return build_problem(mapped, a, b, alpha=alpha, d_node=d_node, d_edge=d_edge)
 
 
-def _gain_parts(problem: NapProblem, mapping: Mapping) -> Tuple[float, float, int]:
-    """(node weight sum, square weight sum, realized square count)."""
-    midx = candidate_indices(problem.sim, mapping)
-    node_part = float(problem.node_weights[midx].sum())
+def gains_at(problem: NapProblem, positions: np.ndarray) -> Tuple[float, float, int]:
+    """(node weight sum, square weight sum, realized square count) of some candidates.
+
+    The one scorer.  positions are ascending and distinct, as
+    candidate_indices gives a mapping's, so the node weights add in
+    (row, col) order whichever caller scores them.
+    """
+    node_part = float(problem.node_weights[positions].sum())
     chosen = np.zeros(problem.n_candidates, dtype=bool)
-    chosen[midx] = True
+    chosen[positions] = True
     # link_u is sorted, so the links leaving each mapped u are one range of it
-    starts = np.searchsorted(problem.link_u, midx, side="left")
-    lengths = np.searchsorted(problem.link_u, midx, side="right") - starts
+    starts = np.searchsorted(problem.link_u, positions, side="left")
+    lengths = np.searchsorted(problem.link_u, positions, side="right") - starts
     offsets = np.cumsum(lengths) - lengths
     links = np.arange(int(lengths.sum())) + np.repeat(starts - offsets, lengths)
     count = int(problem.link_count[links[chosen[problem.link_v[links]]]].sum())
     return node_part, count * (2.0 * problem.d_edge), count
 
 
+def objective_at(problem: NapProblem, positions: np.ndarray) -> float:
+    """alpha-weighted alignment value of the candidates at ascending positions."""
+    node_part, square_part, _ = gains_at(problem, positions)
+    return problem.alpha * node_part + (1.0 - problem.alpha) * square_part
+
+
 def nap_objective(problem: NapProblem, mapping: Mapping) -> float:
     """alpha-weighted alignment value of a mapping."""
-    node_part, square_part, _ = _gain_parts(problem, mapping)
-    return problem.alpha * node_part + (1.0 - problem.alpha) * square_part
+    return objective_at(problem, candidate_indices(problem.sim, mapping))
 
 
 def count_squares(problem: NapProblem, mapping: Mapping) -> int:
     """Number of stored squares realized by a mapping."""
-    _, _, count = _gain_parts(problem, mapping)
-    return count
+    return gains_at(problem, candidate_indices(problem.sim, mapping))[2]
 
 
 def baseline_cost(n_a: int, n_b: int, edges_a: int, edges_b: int,
@@ -273,7 +281,7 @@ def edit_cost(problem: NapProblem, mapping: Mapping) -> float:
     Neither part of the gain depends on alpha, so any problem built over the
     same candidates and edit costs gives the same value.
     """
-    node_part, square_part, _ = _gain_parts(problem, mapping)
+    node_part, square_part, _ = gains_at(problem, candidate_indices(problem.sim, mapping))
     c0 = baseline_cost(problem.n_a, problem.n_b, problem.edges_a, problem.edges_b,
                        problem.d_node, problem.d_edge)
     return c0 - node_part - square_part

@@ -12,7 +12,9 @@ way from a pair (i, j) to its retained entry, for every module.
 All n_a x n_b scores are computed in row blocks of at most BLOCK elements
 through two scratch buffers reused for every block, so the kernel's scratch
 memory does not grow with n_a.  This relies on the features being finite
-and non-negative, which CallGraph validates and canberra_similarity checks.
+and non-negative, which CallGraph validates and canberra_similarity checks:
+a zero Canberra denominator then comes with a zero numerator, so the
+kernel divides every term and maps each 0/0 to 0 afterwards, with no mask.
 """
 
 from __future__ import annotations
@@ -61,15 +63,22 @@ def _weighted_canberra(fa: np.ndarray, fb: np.ndarray, weights: np.ndarray,
 
     Per-feature terms are |x - y| / (x + y) with 0/0 counted as 0, averaged
     under the per-feature weights.  The terms are computed in place in the
-    caller's buffers `num` and `den`, both of shape (len(fa), len(fb), F).
-    Inputs must be non-negative: the Canberra denominator is then just the
-    sum, and where it is zero the numerator is zero too, so the terms the
-    division skips already hold 0.
+    caller's buffers `num` and `den`, both of shape (len(fa), len(fb), F):
+    den first holds a copy of each row of fa per row of fb, so the arithmetic
+    runs in loops over whole len(fb) * F blocks, not over F elements at a
+    time.  Inputs must be non-negative: the Canberra denominator
+    is then just the sum, and where it is zero the numerator is +0.0 too.
+    The division runs everywhere, and fmax turns the NaN of each 0/0 into
+    the +0.0 that skipping it would have left, so every term has the bits of
+    a division masked to den > 0.
     """
-    np.subtract(fa[:, None, :], fb[None, :, :], out=num)
+    np.copyto(den, fa[:, None, :])
+    np.subtract(den, fb, out=num)
     np.abs(num, out=num)
-    np.add(fa[:, None, :], fb[None, :, :], out=den)
-    np.divide(num, den, out=num, where=den > 0)
+    den += fb
+    with np.errstate(invalid="ignore"):
+        np.divide(num, den, out=num)
+    np.fmax(num, 0.0, out=num)
     return num @ weights / weights.sum()
 
 
@@ -154,7 +163,7 @@ def build_similarity_matrix(a: CallGraph, b: CallGraph,
     Scores are computed max(1, BLOCK // (n_b * F)) rows at a time in two
     scratch buffers allocated once per call, so the kernel's scratch memory
     does not grow with n_a; the graphs' validated non-negative features make
-    the in-place division exact.  Pruning removes the
+    the unmasked in-place division exact.  Pruning removes the
     floor(sparsity_ratio * n_a * n_b) lowest-scoring pairs; score ties are
     broken by lexicographic (row, col) order so the result is deterministic.
     """

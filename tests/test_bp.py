@@ -2,14 +2,16 @@
 
 import threading
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from cgalign import bp
-from cgalign import (BpConfig, Mapping, bp_iterate, brute_force_optimum,
+from cgalign import bp, matchers
+from cgalign import (BpConfig, Mapping, MutationSpec, bp_iterate, brute_force_optimum,
                      build_problem, estimate_mode, generate_graph, init_state,
-                     nap_objective, node_weight_map, solve_mwm, solve_nap)
+                     max_weight_matching, mutate, nap_objective, node_weight_map, solve_mwm,
+                     solve_nap)
 from cgalign import SimilarityConfig, SimilarityMatrix, build_similarity_matrix
 
 from conftest import dense_sim, make_graph
@@ -92,8 +94,7 @@ def test_single_candidate_converges_in_one_iteration():
 
 
 def test_all_negative_weights_give_empty_mode():
-    p = problem_of([[0.2, 0.1], [0.15, 0.05]], alpha=1.0)
-    p.node_weights[:] = [-0.3, -0.1, -0.2, -0.4]
+    p = no_positive_belief_problem()
     cfg = BpConfig(epsilon=0.5)
     st = init_state(p, cfg)
     for _ in range(5):
@@ -216,7 +217,7 @@ def test_threaded_run_is_bit_identical():
     assert m1 == m4
 
 
-def test_solve_stops_its_worker_threads(monkeypatch):
+def test_solve_leaves_no_thread_behind(monkeypatch):
     g = generate_graph(60, edge_density=0.05, seed=51, name="A")
     p = build_problem(build_similarity_matrix(g, g, SimilarityConfig()), g, g)
     config = BpConfig(threads=4, max_iterations=5)
@@ -228,10 +229,147 @@ def test_solve_stops_its_worker_threads(monkeypatch):
     def fail(*args):
         raise RuntimeError("scoring failed")
 
-    monkeypatch.setattr(bp, "nap_objective", fail)
+    monkeypatch.setattr(bp, "objective_at", fail)
     with pytest.raises(RuntimeError, match="scoring failed"):
         solve_nap(p, config)
     assert set(threading.enumerate()) <= before
+
+
+def reference_solve(problem, config):
+    """solve_nap's loop with every mode a Mapping, as it ran before modes were positions.
+
+    Each step rounds all positive beliefs with max_weight_matching, scores the
+    Mapping with nap_objective and tests stability by Mapping equality.
+    """
+    state = init_state(problem, config)
+    best, best_objective, trace = Mapping.empty(), 0.0, []
+    stop_reason, converged = "iteration_limit", False
+    previous, stable = None, 0
+    steps = config.max_iterations + 1 if problem.n_candidates and config.max_iterations else 0
+    for step in range(steps):
+        if step:
+            bp_iterate(problem, state)
+        positive = state.p_hat > 0.0
+        mode = max_weight_matching(problem.cand_rows[positive], problem.cand_cols[positive],
+                                   state.p_hat[positive])
+        objective = nap_objective(problem, mode)
+        trace.append(objective)
+        if objective > best_objective:
+            best, best_objective = mode, objective
+        if state.delta < bp.MESSAGE_TOL:
+            stop_reason, converged = "message_tolerance", True
+            break
+        if mode == previous:
+            stable += 1
+            if stable >= bp.MODE_STABLE_WINDOW:
+                stop_reason, converged = "mode_stable", True
+                break
+        else:
+            stable, previous = 0, mode
+    if problem.n_candidates == 0:
+        converged, stop_reason = True, "empty"
+    return best, trace, state.iteration, stop_reason, converged
+
+
+def mutated_problem(n, seed, sparsity=0.0, insert=0, delete=0):
+    a = generate_graph(n, edge_density=3.0 / (n - 1), seed=seed, name="A")
+    spec = MutationSpec(insert=insert, delete=delete, perturb=n // 10,
+                        rewire=len(a.edges) // 10)
+    b, _ = mutate(a, spec, seed=seed + 1)
+    return build_problem(build_similarity_matrix(a, b, SimilarityConfig(sparsity_ratio=sparsity)),
+                         a, b)
+
+
+def one_to_one_problem():
+    """Candidates on the diagonal only, with squares between them: no two share a row or column."""
+    n = 8
+    edges = [(i, (i + 1) % n) for i in range(n)]
+    diagonal = np.arange(n, dtype=np.int64)
+    sim = SimilarityMatrix(n_a=n, n_b=n, rows=diagonal, cols=diagonal,
+                           scores=np.linspace(0.3, 0.9, n))
+    return build_problem(sim, make_graph(n, edges=edges, name="A"),
+                         make_graph(n, edges=edges, name="B"))
+
+
+def no_positive_belief_problem():
+    p = problem_of([[0.2, 0.1], [0.15, 0.05]], alpha=1.0)
+    p.node_weights[:] = [-0.3, -0.1, -0.2, -0.4]
+    return p
+
+
+def rounding_cases():
+    """(label, problem, config): the shapes of problem the rounding must treat alike."""
+    for n, seed in ((8, 1), (12, 3), (20, 5), (30, 7), (16, 9)):
+        yield "dense n=%d" % n, mutated_problem(n, seed), BpConfig(max_iterations=200)
+    yield "dense, damped", mutated_problem(20, 11), BpConfig(damping=0.3, max_iterations=200)
+    for seed in (13, 15, 17, 23):  # churn's pairs: 5% inserted, 5% deleted
+        p = mutated_problem(120, seed, insert=6, delete=6)
+        for cap in (12, 1000):
+            yield "churn seed=%d cap=%d" % (seed, cap), p, BpConfig(max_iterations=cap)
+    for seed in (27, 41):  # the mode changes yet keeps its size for many steps
+        yield ("churn n=60 seed=%d" % seed, mutated_problem(60, seed, insert=3, delete=3),
+               BpConfig())
+    for n, seed in ((150, 21), (200, 23), (120, 25)):
+        yield "sparsity 0.99 n=%d" % n, mutated_problem(n, seed, 0.99), BpConfig(max_iterations=100)
+    yield "one-to-one", one_to_one_problem(), BpConfig()
+    yield "no positive belief", no_positive_belief_problem(), BpConfig()
+    empty = make_graph(0, name="A")
+    yield "empty", build_problem(build_similarity_matrix(empty, empty), empty, empty), BpConfig()
+
+
+ROUNDING_CASES = list(rounding_cases())
+
+
+@pytest.mark.parametrize("case", range(len(ROUNDING_CASES)),
+                         ids=[label for label, _, _ in ROUNDING_CASES])
+def test_solve_matches_the_mapping_loop(case):
+    _, p, config = ROUNDING_CASES[case]
+    mapping, diag = solve_nap(p, config)
+    expected = reference_solve(p, config)
+    assert (mapping, diag.objective_trace, diag.iterations, diag.stop_reason,
+            diag.converged) == expected
+    assert diag.mode_seconds >= 0.0 and diag.score_seconds >= 0.0
+    assert diag.mode_seconds + diag.score_seconds <= diag.seconds
+
+
+def test_rounding_cases_cover_every_shape():
+    assert len(ROUNDING_CASES) >= 20
+    stops = {solve_nap(p, config)[1].stop_reason for _, p, config in ROUNDING_CASES}
+    assert stops == {"iteration_limit", "message_tolerance", "mode_stable", "empty"}
+
+
+@pytest.mark.parametrize("label", ["dense n=20", "churn seed=13 cap=12", "sparsity 0.99 n=150",
+                                   "one-to-one", "no positive belief"])
+def test_rounding_assigns_only_the_conflicted_rows_and_columns(monkeypatch, label):
+    p, config = next((p, config) for name, p, config in ROUNDING_CASES if name == label)
+    shapes = []
+
+    def recording(dense, maximize):
+        shapes.append(dense.shape)
+        return linear_sum_assignment(dense, maximize=maximize)
+
+    linear_sum_assignment = matchers.linear_sum_assignment
+    monkeypatch.setattr(matchers, "linear_sum_assignment", recording)
+    rows, cols = p.cand_rows.tolist(), p.cand_cols.tolist()
+    st = init_state(p, config)
+    split = 0  # steps whose assignment left out some positive pair
+    for step in range(12):
+        if step:
+            bp_iterate(p, st)
+        positive = np.flatnonzero(st.p_hat > 0.0).tolist()
+        in_row = Counter(rows[t] for t in positive)
+        in_col = Counter(cols[t] for t in positive)
+        conflicted = [t for t in positive if in_row[rows[t]] > 1 or in_col[cols[t]] > 1]
+        shapes.clear()
+        estimate_mode(p, st)
+        if conflicted:
+            assert shapes == [(len({rows[t] for t in conflicted}),
+                               len({cols[t] for t in conflicted}))]
+            split += len(conflicted) < len(positive)
+        else:
+            assert shapes == []
+    if label.startswith("sparsity"):
+        assert split > 0
 
 
 def reference_iterate(problem, state):
