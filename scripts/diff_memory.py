@@ -8,12 +8,14 @@ any further arguments passed on to it, and prints:
 * peak_rss: the process's peak resident set size (ru_maxrss) right after
   the diff, which covers interpreter start, imports and the diff itself;
 * minor_faults: the minor page faults taken during the diff (ru_minflt);
-* build_problem: the tracemalloc peak of build_problem on the same pair,
+* similarity: the tracemalloc peak of build_similarity_matrix on the same
+  pair, above what was allocated before it;
+* build_problem: the tracemalloc peak of build_problem on its matrix,
   above what was allocated before it;
 * bp_iterate: the tracemalloc peak of one bp_iterate after init_state,
   above what the problem and the state hold.
 
-The last two run after the diff, with the diff's similarity and cost
+The last three run after the diff, with the diff's similarity and cost
 settings, so tracing slows nothing that peak_rss and minor_faults measure.
 The package is imported from the `src/` directory next to this script.
 """
@@ -62,8 +64,8 @@ def main(argv=None):
         return code
 
     a, b = load_call_graph(args.graph_a), load_call_graph(args.graph_b)
-    sim = similarity.build_similarity_matrix(
-        a, b, similarity.SimilarityConfig(sparsity_ratio=args.sparsity))
+    sim, similarity_peak = traced_peak(lambda: similarity.build_similarity_matrix(
+        a, b, similarity.SimilarityConfig(sparsity_ratio=args.sparsity)))
     problem, build_peak = traced_peak(lambda: nap.build_problem(
         sim, a, b, alpha=args.alpha, d_node=args.d_node, d_edge=args.d_edge))
     state = bp.init_state(problem, bp.BpConfig(epsilon=args.epsilon, damping=args.damping))
@@ -73,6 +75,7 @@ def main(argv=None):
     print("%-14s %10s  %s" % ("metric", "value", "unit"))
     print("%-14s %10.1f  %s" % ("peak_rss", usage.ru_maxrss / 1024.0, "MiB"))
     print("%-14s %10d  %s" % ("minor_faults", usage.ru_minflt - faults, "faults"))
+    print("%-14s %10.1f  %s" % ("similarity", similarity_peak / mib, "MiB"))
     print("%-14s %10.1f  %s" % ("build_problem", build_peak / mib, "MiB"))
     print("%-14s %10.1f  %s" % ("bp_iterate", iterate_peak / mib, "MiB"))
     return 0

@@ -4,7 +4,8 @@ Subcommands: diff (align two call graphs), eval (score a mapping report
 against ground truth), ged (recompute edit cost of a reported mapping both
 ways and check they agree), generate (emit synthetic graphs with truth).
 
-Exit codes: 0 on success, 1 for usage errors, 2 for bad input data.
+Exit codes: 0 on success, 1 for usage errors, 2 for bad input data, 3 when
+memory runs out (one `error: out of memory` line, never a traceback).
 """
 
 from __future__ import annotations
@@ -326,6 +327,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     except DataError as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 2
+    except MemoryError as exc:  # numpy's message says how much it could not allocate
+        detail = " ".join(str(exc).split())
+        sys.stderr.write("error: out of memory%s\n" % (": " + detail if detail else ""))
+        return 3
 
 
 if __name__ == "__main__":

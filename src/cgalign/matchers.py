@@ -5,7 +5,9 @@ instances.
 The kernel is max_weight_matching.  Its core, assign, runs one dense
 assignment over the distinct rows and columns it is given and returns the
 matched pairs as arrays; BP's rounding calls it on the conflicted part of
-the positive beliefs alone and builds no Mapping.
+the positive beliefs alone and builds no Mapping.  assign builds the
+matrix scipy would build for a maximization, negated and wide, so scipy
+solves it where it lies: one dense matrix per assignment, not two.
 
 The kernel's assignment is scipy's compiled `linear_sum_assignment`.  It is
 loaded once, at import, straight from its extension file in the scipy
@@ -96,19 +98,33 @@ def assign(rows: np.ndarray, cols: np.ndarray, w: np.ndarray) -> Tuple[np.ndarra
 
     The kernel's core, for at least one pair: the matrix spans the distinct
     rows and columns given, in ascending order, with weights clamped at 0,
-    and only the positive cells it picks are returned.
+    and only the positive cells it picks are returned.  It is built as the
+    cost matrix that `maximize=True` would make of it inside scipy: negated,
+    -0.0 in every empty cell, and transposed when it has more rows than
+    columns.  Passed with maximize=False, it is solved in place, not copied,
+    with the same arithmetic on the same array, so every tie breaks as
+    under maximize=True.
     """
     row_seen, col_seen = np.bincount(rows) > 0, np.bincount(cols) > 0
     # each id's rank among the distinct ids: the positions np.unique's
     # return_inverse gives, without sorting
     row_at, col_at = np.cumsum(row_seen) - 1, np.cumsum(col_seen) - 1
-    dense = np.zeros((row_at[-1] + 1, col_at[-1] + 1))
+    at, shape = (row_at[rows], col_at[cols]), (row_at[-1] + 1, col_at[-1] + 1)
+    tall = shape[0] > shape[1]
+    if tall:  # scipy solves a tall matrix as its transpose
+        at, shape = at[::-1], shape[::-1]
+    cost = np.full(shape, -0.0)
     # clamp: taking a non-positive pair is never better than skipping it,
     # and a negative cell could otherwise force a worse assignment
-    dense[row_at[rows], col_at[cols]] = np.maximum(w, 0.0)
-    sel_r, sel_c = linear_sum_assignment(dense, maximize=True)
-    chosen = dense[sel_r, sel_c] > 0.0
-    return np.flatnonzero(row_seen)[sel_r[chosen]], np.flatnonzero(col_seen)[sel_c[chosen]]
+    clamped = np.maximum(w, 0.0)
+    cost[at] = np.negative(clamped, out=clamped)
+    sel = linear_sum_assignment(cost, maximize=False)
+    chosen = cost[sel] < 0.0
+    sel_r, sel_c = sel[0][chosen], sel[1][chosen]
+    if tall:  # back to (row, col) pairs, rows ascending, as scipy returns them
+        order = np.argsort(sel_c)
+        sel_r, sel_c = sel_c[order], sel_r[order]
+    return np.flatnonzero(row_seen)[sel_r], np.flatnonzero(col_seen)[sel_c]
 
 
 def solve_mwm(weights: Dict[Tuple[int, int], float]) -> Mapping:

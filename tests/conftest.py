@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from cgalign import CallGraph, SimilarityMatrix
+from cgalign import CallGraph, SimilarityMatrix, similarity
 
 settings.register_profile(
     "suite",
@@ -57,6 +57,23 @@ def dense_sim(matrix):
     rows, cols = np.divmod(np.arange(n_a * n_b, dtype=np.int64), n_b)
     return SimilarityMatrix(n_a=n_a, n_b=n_b, rows=rows, cols=cols,
                             scores=arr.ravel().copy())
+
+
+FORMS = ("dense", "keyed")  # the two lookup forms of a SimilarityMatrix
+
+
+def form_of(sim):
+    """The lookup form a SimilarityMatrix took: "dense" or "keyed" (sorted keys)."""
+    return "dense" if sim._keys is None else "keyed"
+
+
+def in_form(sim, form):
+    """A new matrix of sim's entries, in their order, that takes the given lookup form."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(similarity, "keyed_form", lambda kept, total: form == "keyed")
+        copy = SimilarityMatrix(sim.n_a, sim.n_b, sim.rows, sim.cols, sim.scores)
+    assert form_of(copy) == form
+    return copy
 
 
 @pytest.fixture

@@ -614,3 +614,67 @@ def test_max_iters_zero_reports_the_empty_mapping_as_not_converged(tmp_path, cap
     report = run_json(capsys, ["diff", path_a, path_b, "--max-iters", "0"])
     assert report["matched"] == [] and report["objective"] == 0.0
     assert report["iterations"] == 0 and report["converged"] is False
+
+
+def fail_allocating(message):
+    def allocate(*args, **kwargs):
+        raise MemoryError(*message)
+    return allocate
+
+
+@pytest.mark.parametrize("layer, message", [
+    ((similarity, "build_similarity_matrix"), ()),
+    ((nap, "build_problem"),
+     ("Unable to allocate 275. MiB for an array\nwith shape (6000, 6000) and data type float64",)),
+    ((matchers, "linear_sum_assignment"), ("cannot allocate memory",)),
+])
+def test_out_of_memory_is_a_one_line_error(tmp_path, capsys, monkeypatch, layer, message):
+    graph = synthetic.generate_graph(12, edge_density=0.2, seed=5)
+    other, _ = synthetic.mutate(graph, synthetic.MutationSpec(insert=2, perturb=3), seed=6)
+    path_a, path_b = write_graph_pair(tmp_path, graph, other)
+    monkeypatch.setattr(*layer, fail_allocating(message))
+    rc, out, err = run(capsys, ["diff", path_a, path_b])
+    assert rc == 3 and out == ""
+    assert err.startswith("error: out of memory") and len(err.splitlines()) == 1
+    assert "Traceback" not in err
+    if message:
+        assert err == "error: out of memory: %s\n" % " ".join(message[0].split())
+
+
+OUT_OF_MEMORY = r"""
+import os, resource, sys
+from cgalign import cli, synthetic
+from cgalign.graphs import save_call_graph
+
+n, directory = int(sys.argv[1]), sys.argv[2]
+base = synthetic.generate_graph(n, edge_density=3 / (n - 1), seed=11, name="A")
+other, _ = synthetic.mutate(base, synthetic.MutationSpec(perturb=n // 10), seed=12)
+paths = [os.path.join(directory, name) for name in ("a.json", "b.json")]
+save_call_graph(base, paths[0])
+save_call_graph(other, paths[1])
+del base, other
+# this process only: its address space may grow by HEADROOM, less than the
+# n x n float64 scores that an unpruned diff holds
+with open("/proc/self/statm") as statm:
+    size = int(statm.read().split()[0]) * resource.getpagesize()
+hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+limit = size + int(sys.argv[3])
+resource.setrlimit(resource.RLIMIT_AS, (limit if hard == resource.RLIM_INFINITY
+                                        else min(limit, hard), hard))
+sys.exit(cli.main(["diff"] + paths))
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="needs Linux's statm")
+def test_diff_out_of_address_space_exits_three_in_one_line(tmp_path):
+    n = 3000
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    headroom = n * n * 8 // 2
+    done = subprocess.run([sys.executable, "-c", OUT_OF_MEMORY, str(n), str(tmp_path),
+                           str(headroom)], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 3, done.stderr
+    assert done.stdout == ""
+    assert done.stderr.startswith("error: out of memory") and "Traceback" not in done.stderr
+    assert len(done.stderr.splitlines()) == 1

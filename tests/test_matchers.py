@@ -103,6 +103,40 @@ def test_kernel_matches_reference_on_tie_heavy_instances():
     assert fast >= 250  # the one-to-one shortcut was compared too, not only the assignment
 
 
+def reference_assign(rows, cols, w):
+    """The kernel's core as scipy's maximize=True runs it: clamped weights, not negated."""
+    row_ids, col_ids = np.unique(rows), np.unique(cols)
+    dense = np.zeros((len(row_ids), len(col_ids)))
+    dense[np.searchsorted(row_ids, rows), np.searchsorted(col_ids, cols)] = np.maximum(w, 0.0)
+    sel_r, sel_c = linear_sum_assignment(dense, maximize=True)
+    chosen = dense[sel_r, sel_c] > 0.0
+    return row_ids[sel_r[chosen]], col_ids[sel_c[chosen]]
+
+
+@pytest.mark.parametrize("kind", ["tall", "wide", "square"])
+def test_assign_breaks_ties_as_maximize_does_on_larger_instances(kind):
+    rng = np.random.default_rng(["tall", "wide", "square"].index(kind) + 71)
+    levels = np.array([-1.0, -0.0, 0.0, 0.25, 0.5, 0.5, 1.0, 1.0, 1.0])
+    for _ in range(150):
+        small, large = sorted(rng.integers(1, 61, 2).tolist())
+        n_r, n_c = {"tall": (large, small), "wide": (small, large),
+                    "square": (large, large)}[kind]
+        if kind != "square" and n_r == n_c:
+            continue
+        cells = np.flatnonzero(rng.random(n_r * n_c) < rng.uniform(0.05, 1.0))
+        rng.shuffle(cells)
+        rows, cols = np.divmod(cells.astype(np.int64), n_c)
+        # ids with gaps, as BP's conflicted rows and columns have them
+        rows = np.cumsum(rng.integers(1, 4, n_r))[rows]
+        cols = np.cumsum(rng.integers(1, 4, n_c))[cols]
+        w = rng.choice(levels, size=len(cells))
+        if not len(w):
+            continue
+        got, want = matchers.assign(rows, cols, w), reference_assign(rows, cols, w)
+        for part, reference in zip(got, want):
+            assert part.dtype == reference.dtype and np.array_equal(part, reference)
+
+
 @pytest.mark.parametrize("shape", [(3, 9), (9, 3), (40, 25), (0, 4), (4, 0), (0, 0)])
 def test_loaded_assignment_matches_public_route_on_rectangular_matrices(shape):
     rng = np.random.default_rng(shape[0] * 100 + shape[1])

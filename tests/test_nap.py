@@ -14,7 +14,7 @@ from cgalign import (Candidates, Mapping, MappingError, MutationSpec, NapProblem
                      max_weight_matching, mutate, nap_objective, solve_mcs_greedy)
 from cgalign import SimilarityConfig, SimilarityMatrix, build_similarity_matrix, nap
 
-from conftest import dense_sim, make_graph
+from conftest import FORMS, dense_sim, in_form, make_graph
 
 
 def square_instance():
@@ -433,9 +433,11 @@ def index_cases():
         3, edges=[(0, 1), (1, 2)], name="B")
 
 
+@pytest.mark.parametrize("form", FORMS)
 @pytest.mark.parametrize("case", list(index_cases()), ids=lambda case: case[0])
-def test_dense_index_is_the_one_candidate_lookup(case):
+def test_each_lookup_form_is_the_one_candidate_lookup(case, form):
     _, sim, a, b = case
+    sim = in_form(sim, form)
     n = len(sim)
     want = np.full((sim.n_a, sim.n_b), -1)
     want[sim.rows, sim.cols] = np.arange(n)
@@ -588,10 +590,10 @@ def test_build_rejects_non_finite_or_mistyped_costs(field, value):
 
 
 class Untouchable:
-    """Stands in for the matrix's dense array: any access fails the test."""
+    """Stands in for one of the matrix's private arrays: any access fails the test."""
 
     def _refuse(self, *args, **kwargs):
-        raise AssertionError("the dense array was read outside SimilarityMatrix.lookup")
+        raise AssertionError("a private array was read outside SimilarityMatrix.lookup")
 
     __getattr__ = __getitem__ = __setitem__ = __array__ = __len__ = __iter__ = _refuse
 
@@ -607,9 +609,20 @@ def dict_lookup(sim):
     return lookup
 
 
-def test_every_reader_goes_through_lookup(monkeypatch):
-    a, b, sim, mappings = next((a, b, sim, m) for sparsity, a, b, sim, m in full_and_mapped_cases()
-                               if sparsity == 0.5)
+def reader_cases():
+    """(label, a, b, sim, mappings): a built matrix, and the hand-built unsorted one."""
+    yield next(("sparsity 0.5", a, b, sim, m) for sparsity, a, b, sim, m
+               in full_and_mapped_cases() if sparsity == 0.5)
+    _, sim, a, b = next(case for case in index_cases() if case[0] == "direct")
+    yield "direct", a, b, sim, [Mapping.empty(), Mapping.from_pairs([(0, 1), (1, 2)]),
+                                Mapping.from_pairs([(0, 0), (1, 1)])]
+
+
+@pytest.mark.parametrize("form", FORMS)
+@pytest.mark.parametrize("case", list(reader_cases()), ids=lambda case: case[0])
+def test_every_reader_goes_through_lookup(monkeypatch, case, form):
+    _, a, b, sim, mappings = case
+    sim = in_form(sim, form)
     d_node, d_edge = 0.4, 0.35
 
     def results():
@@ -637,7 +650,11 @@ def test_every_reader_goes_through_lookup(monkeypatch):
     dense = results()
     assert dense["get"].count(None) > sim.n_a + sim.n_b  # pruned pairs and pairs outside
     assert max(count for _, _, count, _ in dense["scores"]) > 0
-    monkeypatch.setattr(sim, "_index", Untouchable())
+    private = [name for name in ("_index", "_keys", "_order") if getattr(sim, name) is not None]
+    assert private == (["_index"] if form == "dense" else
+                       ["_keys"] + ["_order"] * (case[0] == "direct"))  # its entries are unsorted
+    for name in private:
+        monkeypatch.setattr(sim, name, Untouchable())
     monkeypatch.setattr(sim, "lookup", dict_lookup(sim))
     assert results() == dense
     with pytest.raises(AssertionError, match="outside SimilarityMatrix.lookup"):

@@ -33,16 +33,19 @@ def test_script_runs_at_small_size(name, argv, rows, capsys):
 
 
 def test_diff_memory_reports_one_diff(tmp_path, capsys):
-    paths = []
+    n, paths = 200, []
     for seed, name in ((3, "A"), (4, "B")):
         paths.append(str(tmp_path / ("%s.json" % name)))
-        save_call_graph(generate_graph(30, edge_density=0.1, seed=seed, name=name), paths[-1])
+        save_call_graph(generate_graph(n, edge_density=0.02, seed=seed, name=name), paths[-1])
     assert load_script("diff_memory").main(paths + ["--max-iters", "3"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert [line.split()[0] for line in lines] == ["metric", "peak_rss", "minor_faults",
-                                                  "build_problem", "bp_iterate"]
-    values = [float(line.split()[1]) for line in lines[1:]]
-    assert values[0] > 0 and all(value >= 0 for value in values)
+                                                  "similarity", "build_problem", "bp_iterate"]
+    assert [line.split()[2] for line in lines[1:]] == ["MiB", "faults", "MiB", "MiB", "MiB"]
+    values = dict((line.split()[0], float(line.split()[1])) for line in lines[1:])
+    assert values["peak_rss"] > 0 and all(value >= 0 for value in values.values())
+    # unpruned, the scores of every pair are held at once: n * n float64 at least
+    assert values["similarity"] >= int(n * n * 8 / 2 ** 20 * 10) / 10
 
 
 def test_report_digests_cover_every_output_of_a_workload(capsys):

@@ -1,16 +1,19 @@
 """Weighted Canberra similarity and the pruned candidate matrix."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cgalign import graphs, nap, similarity
-from cgalign import (CallGraph, SimilarityConfig, SimilarityMatrix, build_similarity_matrix,
-                     canberra_similarity, generate_graph)
-from cgalign.similarity import BLOCK, _weighted_canberra, feature_weights, prune_lowest
+from cgalign import (CallGraph, MutationSpec, SimilarityConfig, SimilarityMatrix,
+                     build_similarity_matrix, canberra_similarity, generate_graph, mutate)
+from cgalign.similarity import (BLOCK, KEYED_SPAN, _weighted_canberra, feature_weights,
+                                keep_highest, prune_lowest)
 
-from conftest import make_features, make_graph
+from conftest import form_of, make_features, make_graph
 
 finite_feature = st.floats(min_value=0.0, max_value=1e6, allow_nan=False)
 
@@ -256,6 +259,99 @@ def test_pruning_with_tied_scores_keeps_highest_indices(ratio):
     assert np.array_equal(cut.rows, full.rows[keep])
     assert np.array_equal(cut.cols, full.cols[keep])
     assert np.array_equal(cut.scores, full.scores[keep])
+
+
+@pytest.mark.parametrize("ratio", [0.0, 0.5, 0.98, 0.99, 0.999, 1.0])
+def test_pruned_matrix_holds_no_array_of_every_pair(ratio):
+    # two feature vectors and no order bonus: two or three score values, so
+    # the streamed selection meets ties at every cut
+    templates = [make_features([5, 1, 0, 2, 0, 1]), make_features([1, 4, 4, 0, 3, 0])]
+    a = make_graph(90, features=[templates[i % 3 == 0] for i in range(90)], name="A")
+    b = make_graph(80, features=[templates[i % 2] for i in range(80)], name="B")
+    full = build_similarity_matrix(a, b, SimilarityConfig(perturbation_scale=0.0))
+    cut = build_similarity_matrix(a, b, SimilarityConfig(perturbation_scale=0.0,
+                                                         sparsity_ratio=ratio))
+    keep = lexsort_keep(full.scores, int(np.floor(ratio * len(full))))
+    assert np.array_equal(cut.rows, full.rows[keep])
+    assert np.array_equal(cut.cols, full.cols[keep])
+    assert np.array_equal(cut.scores, full.scores[keep])
+    keyed = len(keep) * KEYED_SPAN <= len(full)
+    assert form_of(cut) == ("keyed" if keyed else "dense")
+    largest = max(value.size for value in vars(cut).values() if isinstance(value, np.ndarray))
+    assert largest == (len(keep) + 1 if keyed else len(full))  # the keys end in a sentinel
+
+
+@settings(max_examples=200)
+@given(st.lists(st.integers(min_value=0, max_value=5), max_size=120),
+       st.integers(min_value=1, max_value=121), st.integers(min_value=0, max_value=8))
+def test_streamed_selection_is_prune_lowest_over_the_whole_buffer(values, size, pool_slack):
+    # tie-heavy scores in blocks of `size`, and a pool cut back to `keep` as
+    # soon as it passes 2 * keep + pool_slack entries, so that later blocks
+    # meet the floor of a cut
+    scores = np.asarray(values, dtype=np.float64) / 5.0
+    blocks = [scores[lo:lo + size] for lo in range(0, len(scores), size)]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(similarity, "BLOCK", pool_slack)
+        for drop in range(len(scores) + 1):
+            index, kept = keep_highest(iter(blocks), len(scores) - drop)
+            want = prune_lowest(scores, drop)
+            assert index.dtype == np.int64 and np.array_equal(index, want)
+            assert np.array_equal(kept, scores[want])
+
+
+def test_streamed_selection_cuts_its_pool_to_about_twice_the_kept():
+    # rising scores, three of each: every block clears the floor of the last cut
+    scores = np.arange(40 * BLOCK // 10) // 3 / BLOCK
+    keep, pools = 1000, []
+
+    def blocks():
+        for lo in range(0, len(scores), BLOCK // 10):
+            yield scores[lo:lo + BLOCK // 10]
+
+    real = similarity._cut
+
+    def recording(index_parts, score_parts, kept):
+        pools.append(sum(len(part) for part in index_parts))
+        return real(index_parts, score_parts, kept)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(similarity, "_cut", recording)
+        index, kept = keep_highest(blocks(), keep)
+    assert np.array_equal(index, prune_lowest(scores, len(scores) - keep))
+    assert len(pools) > 2 and max(pools) <= 2 * keep + BLOCK + BLOCK // 10
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (7, 9), (64, 1), (40, 80), (300, 301)])
+def test_lookup_form_follows_the_kept_ratio(shape):
+    n_a, n_b = shape
+    total = n_a * n_b
+    rng = np.random.default_rng(total)
+    edge = total // KEYED_SPAN  # the most entries the sorted-key form holds
+    for kept in sorted({0, 1, max(edge - 1, 0), edge, edge + 1, total // 2, total}):
+        if kept > total:
+            continue
+        keys = np.sort(rng.choice(total, kept, replace=False)).astype(np.int64)
+        rows, cols = np.divmod(keys, n_b)
+        sim = SimilarityMatrix(n_a, n_b, rows, cols, rng.random(kept))
+        assert form_of(sim) == ("keyed" if kept <= edge else "dense")
+
+
+def test_pruned_build_peaks_below_one_array_of_every_pair():
+    n = 1000
+    a = generate_graph(n, edge_density=3 / (n - 1), seed=11, name="A")
+    b, _ = mutate(a, MutationSpec(perturb=n // 10, rewire=len(a.edges) // 10), seed=12)
+    config = SimilarityConfig(sparsity_ratio=0.99)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        sim = build_similarity_matrix(a, b, config)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert form_of(sim) == "keyed" and len(sim) == n * n // 100
+    # the kernel's scratch, the pool and one cut of it, about 4.5 MB: the dense
+    # path's score buffer alone is n * n float64
+    assert peak < n * n * 8
 
 
 def reference_kernel(fa, fb, weights):
