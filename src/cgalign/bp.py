@@ -85,7 +85,7 @@ class BpState:
         self.ops_last = 0
         self._wn = problem.alpha * problem.node_weights
         self._starts_r, self._seg_r = _segments(problem.cand_rows)  # row order = storage order
-        self._perm_c = np.lexsort((problem.cand_rows, problem.cand_cols))
+        self._perm_c = np.argsort(problem.cand_cols, kind="stable")  # ties in row order
         self._starts_c, self._seg_c = _segments(problem.cand_cols[self._perm_c])
         self._pos = np.arange(n_cand, dtype=np.int64)
         self._mask = np.empty(n_cand, dtype=bool)
@@ -189,7 +189,7 @@ def _update_links(state: BpState, update: bool = True) -> float:
     """
     problem, p_hat, d = state.problem, state.p_hat, state.config.damping
     link_u, link_v, link_count = problem.link_u, problem.link_v, problem.link_count
-    square_w, scale = 2.0 * problem.d_edge, 1.0 - problem.alpha
+    square_w, scale = problem.square_weight, 1.0 - problem.alpha
     h_uv, h_vu, support_u, support_v = state.h_uv, state.h_vu, state._support_u, state._support_v
     support_u.fill(0.0)
     support_v.fill(0.0)

@@ -11,6 +11,7 @@ memory runs out (one `error: out of memory` line, never a traceback).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -59,7 +60,9 @@ def _add_cost_flags(sub):
                      help="cost of deleting or inserting a call (default 0.5)")
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: parsing leaves no state on it."""
     parser = _Parser(prog="cgalign",
                      description="Align functions of two call graphs")
     commands = parser.add_subparsers(dest="command", required=True)
@@ -186,9 +189,8 @@ def _solve(args, sim, a: CallGraph, b: CallGraph):
 def cmd_diff(args) -> int:
     a = load_call_graph(args.graph_a)
     b = load_call_graph(args.graph_b)
-    validate_pair(a, b)
     sim_config = similarity.SimilarityConfig(sparsity_ratio=args.sparsity)
-    sim = similarity.build_similarity_matrix(a, b, sim_config)
+    sim = similarity.build_similarity_matrix(a, b, sim_config)  # refuses a mismatched pair
     problem, mapping, iterations, converged = _solve(args, sim, a, b)
 
     matched = sorted(mapping.pairs)
@@ -249,7 +251,7 @@ def cmd_eval(args) -> int:
 def cmd_ged(args) -> int:
     a = load_call_graph(args.graph_a)
     b = load_call_graph(args.graph_b)
-    validate_pair(a, b)
+    validate_pair(a, b)  # before the report, whose faults would otherwise be named first
     mapping = nap.Mapping.from_pairs(_pair_ids(_load_report(args.report), a, b))
     sim_config = similarity.SimilarityConfig(sparsity_ratio=args.sparsity)
     sim = similarity.build_similarity_matrix(a, b, sim_config)

@@ -190,10 +190,10 @@ def solve_mcs_greedy(problem: Candidates, a: CallGraph, b: CallGraph,
     deg_a = np.array([len(x) for x in adj_a], dtype=np.int64)
     deg_b = np.array([len(x) for x in adj_b], dtype=np.int64)
     eligible = (w > 0.0) & (deg_a[rows] > 0) & (deg_b[cols] > 0)
-    # the greedy order: heavier first, then the smaller (row, col); the
-    # frontier heap holds ranks in it, so it pops the same pair as a heap
-    # of (-weight, row, col) would
-    order = np.lexsort((cols, rows, -w))
+    # the greedy order: heavier first, then the smaller (row, col), which is
+    # storage order; the frontier heap holds ranks in it, so it pops the
+    # same pair as a heap of (-weight, row, col) would
+    order = np.argsort(-w, kind="stable")
     rank = np.empty(len(order), dtype=np.int64)
     rank[order] = np.arange(len(order))
     order_rows, order_cols = rows[order].tolist(), cols[order].tolist()
@@ -270,7 +270,7 @@ def brute_force_optimum(problem: NapProblem) -> Tuple[Mapping, float]:
     rows, cols = problem.cand_rows, problem.cand_cols
     alpha = problem.alpha
     node_gain = alpha * problem.node_weights
-    link_gain = problem.link_count * (2.0 * problem.d_edge) * (1.0 - alpha)
+    link_gain = problem.link_count * problem.square_weight * (1.0 - alpha)
     neighbors: List[List[Tuple[int, float]]] = [[] for _ in range(problem.n_candidates)]
     for u, v, lw in zip(problem.link_u.tolist(), problem.link_v.tolist(),
                         link_gain.tolist()):

@@ -73,8 +73,10 @@ class Candidates:
     """Retained candidate pairs and their node weights: all a linear matcher reads.
 
     The candidates are the entries of `sim`, the SimilarityMatrix they were
-    built from, in its lexicographic (row, col) order, so a pair's candidate
-    position is sim.lookup(i, j).
+    built from, in its order: distinct pairs in ascending (row, col) order,
+    which the matrix checks when it is made (a ValueError names the first
+    entry out of order).  So each row's candidates are one run of positions,
+    and a pair's candidate position is sim.lookup(i, j).
     """
 
     sim: SimilarityMatrix
@@ -99,10 +101,10 @@ class NapProblem(Candidates):
     pairs (i, j) and (k, l) are both candidates.  Squares are stored only as
     links: one per unordered candidate pair u < v, sorted by (u, v), with the
     number of squares it merges (1 or 2, one per direction).  Every square
-    weighs 2*d_edge, so a link's weight is derived from its count when it is
-    needed and never stored.  Only belief propagation needs the links among
-    all candidates; a single mapping is scored on mapping_problem's problem
-    over its own pairs.
+    weighs square_weight, 2*d_edge, so a link's weight is derived from its
+    count when it is needed and never stored.  Only belief propagation needs
+    the links among all candidates; a single mapping is scored on
+    mapping_problem's problem over its own pairs.
     """
 
     link_u: np.ndarray         # int64, u < v, sorted
@@ -114,14 +116,16 @@ class NapProblem(Candidates):
     edges_a: int
     edges_b: int
 
+    square_weight = property(lambda self: 2.0 * self.d_edge)  # float, of every square
+
     @property
     def n_squares(self) -> int:
         return int(self.link_count.sum())
 
     @property
     def link_w(self) -> np.ndarray:
-        """Weight of each link, link_count * 2*d_edge, as a new float64 array."""
-        return self.link_count * (2.0 * self.d_edge)
+        """Weight of each link, link_count * square_weight, as a new float64 array."""
+        return self.link_count * self.square_weight
 
 
 JOIN_CHUNK = 1 << 16  # edge pairs joined at once: each of the join's scratch arrays <= 512 KiB
@@ -237,8 +241,9 @@ def gains_at(problem: NapProblem, positions: np.ndarray) -> Tuple[float, float, 
     """(node weight sum, square weight sum, realized square count) of some candidates.
 
     The one scorer.  positions are ascending and distinct, as
-    candidate_indices gives a mapping's, so the node weights add in
-    (row, col) order whichever caller scores them.
+    candidate_indices gives a mapping's, and a SimilarityMatrix refuses
+    entries out of (row, col) order with a ValueError, so the node weights
+    add in (row, col) order whichever caller scores them.
     """
     node_part = float(problem.node_weights[positions].sum())
     chosen = np.zeros(problem.n_candidates, dtype=bool)
@@ -249,7 +254,7 @@ def gains_at(problem: NapProblem, positions: np.ndarray) -> Tuple[float, float, 
     offsets = np.cumsum(lengths) - lengths
     links = np.arange(int(lengths.sum())) + np.repeat(starts - offsets, lengths)
     count = int(problem.link_count[links[chosen[problem.link_v[links]]]].sum())
-    return node_part, count * (2.0 * problem.d_edge), count
+    return node_part, count * problem.square_weight, count
 
 
 def objective_at(problem: NapProblem, positions: np.ndarray) -> float:

@@ -128,17 +128,20 @@ def keyed_form(kept: int, total: int) -> bool:
 class SimilarityMatrix:
     """Sparse rectangular matrix of retained candidate pairs.
 
-    Entries are stored in lexicographic (row, col) order; absent positions
-    were pruned and are not legal match candidates.  `lookup` is the one
-    way from a pair to its entry.  It reads one of two private forms, which
-    the matrix picks from its kept ratio (keyed_form) when no dense array
-    is given:
+    Entries are distinct pairs in ascending (row, col) order, which every
+    reader relies on; absent positions were pruned and are not legal match
+    candidates.  The constructor checks this: rows, cols and scores must
+    have one entry per pair, every id must be in range and the flat keys
+    row * n_b + col must strictly ascend, or it raises a ValueError naming
+    the first bad entry.  Only build_similarity_matrix's dense route, which
+    passes its own index, is trusted unchecked.  `lookup` is the one way
+    from a pair to its entry.  It reads one of two private forms, which the
+    matrix picks from its kept ratio (keyed_form) when no dense array is
+    given:
 
     * dense: an array of the n_a * n_b entry positions, -1 where a pair was
       pruned;
-    * sorted keys: the entries' flat keys row * n_b + col in ascending
-      order, found by binary search, with the permutation back to entry
-      positions only when the entries are not in (row, col) order.
+    * sorted keys: the entries' flat keys, found by binary search.
     """
 
     n_a: int
@@ -149,24 +152,36 @@ class SimilarityMatrix:
     _index: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
     # the sorted-key form: keys, then one sentinel above every key in range
     _keys: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
-    _order: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self._index is not None:
             return
-        n = len(self.rows)
+        n = len(self.scores)
+        if not len(self.rows) == len(self.cols) == n:
+            raise ValueError("rows, cols and scores must have one entry per pair, not %d, %d "
+                             "and %d" % (len(self.rows), len(self.cols), n))
         keys = np.empty(n + 1, dtype=np.int64)
         np.multiply(self.rows, self.n_b, out=keys[:n])
         keys[:n] += self.cols
+        ok = (self.rows >= 0) & (self.rows < self.n_a) & (self.cols >= 0) & (self.cols < self.n_b)
+        ok[1:] &= keys[1:n] > keys[:n - 1]
+        if not ok.all():
+            raise ValueError(self._entry_error(int(np.argmin(ok)), keys))
         if not keyed_form(n, self.n_a * self.n_b):
             self._index = np.full(self.n_a * self.n_b, -1, dtype=np.int64)
             self._index[keys[:n]] = np.arange(n)
             return
         keys[n] = np.iinfo(np.int64).max
-        if not np.all(keys[1:] > keys[:-1]):  # the sentinel sorts last, so order[n] = n
-            self._order = np.argsort(keys, kind="stable")
-            keys = keys[self._order]
         self._keys = keys
+
+    def _entry_error(self, t: int, keys: np.ndarray) -> str:
+        """Why entry t, the first that breaks the entry invariant, is refused."""
+        pair = "entry %d, (%d, %d)," % (t, self.rows[t], self.cols[t])
+        if not (0 <= self.rows[t] < self.n_a and 0 <= self.cols[t] < self.n_b):
+            return "%s is outside the %d x %d matrix" % (pair, self.n_a, self.n_b)
+        relation = "repeats" if keys[t] == keys[t - 1] else "sorts before"
+        return ("%s %s entry %d, (%d, %d): entries must be distinct pairs in ascending "
+                "(row, col) order" % (pair, relation, t - 1, self.rows[t - 1], self.cols[t - 1]))
 
     def __len__(self) -> int:
         return len(self.scores)
@@ -187,10 +202,9 @@ class SimilarityMatrix:
         if self._keys is None:
             return self._index[key]
         at = self._keys.searchsorted(key)
-        pos = at if self._order is None else self._order[at]
         # -1 where the key is absent; arithmetic, not np.where, whose call
         # costs ten times a read of the dense index for one pair
-        return (pos + 1) * (self._keys[at] == key) - 1
+        return (at + 1) * (self._keys[at] == key) - 1
 
     def get(self, i: int, j: int) -> float:
         pos = self.lookup(i, j) if 0 <= i < self.n_a and 0 <= j < self.n_b else -1

@@ -68,12 +68,27 @@ def form_of(sim):
 
 
 def in_form(sim, form):
-    """A new matrix of sim's entries, in their order, that takes the given lookup form."""
+    """A new matrix of sim's entries, in their order, that takes the given lookup form.
+
+    sim is a SimilarityMatrix, or any object with its n_a, n_b, rows, cols
+    and scores.
+    """
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(similarity, "keyed_form", lambda kept, total: form == "keyed")
         copy = SimilarityMatrix(sim.n_a, sim.n_b, sim.rows, sim.cols, sim.scores)
     assert form_of(copy) == form
     return copy
+
+
+def dict_lookup(sim):
+    """A reference for sim.lookup over a {(i, j): entry} dict of the kept pairs."""
+    table = {pair: k for k, pair in enumerate(zip(sim.rows.tolist(), sim.cols.tolist()))}
+
+    def lookup(i, j):
+        i, j = np.broadcast_arrays(np.asarray(i, dtype=np.int64), np.asarray(j, dtype=np.int64))
+        pos = [table.get(pair, -1) for pair in zip(i.ravel().tolist(), j.ravel().tolist())]
+        return np.array(pos, dtype=np.int64).reshape(i.shape)[()]
+    return lookup
 
 
 @pytest.fixture

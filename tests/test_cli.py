@@ -4,6 +4,7 @@ Everything goes through cli.main(argv) in-process; files live in tmp_path.
 """
 
 import argparse
+import dataclasses
 import json
 import os
 import subprocess
@@ -351,6 +352,60 @@ def test_only_belief_propagation_builds_the_full_problem(tmp_path, capsys, build
         assert run_json(capsys, ["ged", path_a, path_b, path] + costs)["difference"] <= 1e-9
         with open(path) as handle:
             assert builds == [len(json.load(handle)["matched"])]
+
+
+def mismatched_pair(tmp_path):
+    """Paths of two graphs whose instruction class lists differ, and of a report of the first."""
+    graph = synthetic.generate_graph(6, edge_density=0.3, seed=4)
+    other = dataclasses.replace(graph, name="B",
+                                instruction_classes=tuple(reversed(graph.instruction_classes)))
+    path_a, path_b = write_graph_pair(tmp_path, graph, other)
+    report = str(tmp_path / "report.json")
+    with open(report, "w") as handle:
+        json.dump({"matched": [[key, key] for key in graph.names]}, handle)
+    return path_a, path_b, report
+
+
+@pytest.mark.parametrize("command", ["diff", "ged"])
+def test_mismatched_instruction_classes_are_one_line_data_error(tmp_path, capsys, command):
+    path_a, path_b, report = mismatched_pair(tmp_path)
+    rc, out, err = run(capsys, [command, path_a, path_b] + [report] * (command == "ged"))
+    assert rc == 2 and out == ""
+    assert err.startswith("error: instruction class lists differ: ")
+    assert len(err.splitlines()) == 1
+
+
+def test_ged_names_mismatched_classes_before_a_bad_report(tmp_path, capsys):
+    path_a, path_b, report = mismatched_pair(tmp_path)
+    with open(report, "w") as handle:
+        json.dump({"matched": [["no such function", 0]]}, handle)
+    rc, _, err = run(capsys, ["ged", path_a, path_b, report])
+    assert rc == 2 and err.startswith("error: instruction class lists differ: ")
+
+
+def test_one_parser_serves_every_call_of_a_process(tmp_path, capsys):
+    base = synthetic.generate_graph(20, edge_density=0.2, seed=21)
+    other, truth = synthetic.mutate(base, synthetic.MutationSpec(insert=2, perturb=3), seed=22)
+    path_a, path_b = write_graph_pair(tmp_path, base, other)
+    report, truth_path = str(tmp_path / "report.json"), str(tmp_path / "truth.json")
+    evaluation.save_ground_truth(truth, truth_path)
+    calls = [
+        ["diff", path_a, path_b, "--alpha", "0.3", "--sparsity", "0.5", "--output", report],
+        ["ged", path_a, path_b, report, "--sparsity", "0.5", "--json"],
+        ["eval", report, truth_path],
+        ["diff", path_a, path_b, "--matcher", "mcs", "--json"],
+        ["diff", path_a, path_b, "--alpha", "2"],
+        ["diff", path_a, path_b],
+    ]
+    cli.build_parser.cache_clear()
+    warm = [run(capsys, argv) for argv in calls]
+    assert cli.build_parser.cache_info().misses == 1
+    fresh = []
+    for argv in calls:
+        cli.build_parser.cache_clear()
+        fresh.append(run(capsys, argv))
+    assert [rc for rc, _, _ in warm] == [0, 0, 0, 0, 1, 0]
+    assert warm == fresh
 
 
 def test_ged_rejects_non_report_file(tmp_path, capsys):

@@ -14,7 +14,7 @@ from cgalign import (Candidates, Mapping, MappingError, MutationSpec, NapProblem
                      max_weight_matching, mutate, nap_objective, solve_mcs_greedy)
 from cgalign import SimilarityConfig, SimilarityMatrix, build_similarity_matrix, nap
 
-from conftest import FORMS, dense_sim, in_form, make_graph
+from conftest import FORMS, dense_sim, dict_lookup, in_form, make_graph
 
 
 def square_instance():
@@ -424,11 +424,11 @@ def index_cases():
     for sparsity in (0.0, 0.5, 0.9, 1.0):
         yield "sparsity %s" % sparsity, build_similarity_matrix(
             a, b, SimilarityConfig(sparsity_ratio=sparsity)), a, b
-    # entries not in lexicographic order, and (1, 0) and (0, 2) pruned
-    rows = np.array([1, 0, 0, 1], dtype=np.int64)
-    cols = np.array([2, 1, 0, 1], dtype=np.int64)
+    # hand-built entries, with (0, 2) and (1, 0) pruned
+    rows = np.array([0, 0, 1, 1], dtype=np.int64)
+    cols = np.array([0, 1, 1, 2], dtype=np.int64)
     sim = SimilarityMatrix(n_a=2, n_b=3, rows=rows, cols=cols,
-                           scores=np.array([0.9, 0.4, 0.8, 0.7]))
+                           scores=np.array([0.8, 0.4, 0.7, 0.9]))
     yield "direct", sim, make_graph(2, edges=[(0, 1)], name="A"), make_graph(
         3, edges=[(0, 1), (1, 2)], name="B")
 
@@ -598,19 +598,8 @@ class Untouchable:
     __getattr__ = __getitem__ = __setitem__ = __array__ = __len__ = __iter__ = _refuse
 
 
-def dict_lookup(sim):
-    """A reference for sim.lookup over a {(i, j): entry} dict of the kept pairs."""
-    table = {pair: k for k, pair in enumerate(zip(sim.rows.tolist(), sim.cols.tolist()))}
-
-    def lookup(i, j):
-        i, j = np.broadcast_arrays(np.asarray(i, dtype=np.int64), np.asarray(j, dtype=np.int64))
-        pos = [table.get(pair, -1) for pair in zip(i.ravel().tolist(), j.ravel().tolist())]
-        return np.array(pos, dtype=np.int64).reshape(i.shape)[()]
-    return lookup
-
-
 def reader_cases():
-    """(label, a, b, sim, mappings): a built matrix, and the hand-built unsorted one."""
+    """(label, a, b, sim, mappings): a built matrix, and the hand-built one."""
     yield next(("sparsity 0.5", a, b, sim, m) for sparsity, a, b, sim, m
                in full_and_mapped_cases() if sparsity == 0.5)
     _, sim, a, b = next(case for case in index_cases() if case[0] == "direct")
@@ -650,9 +639,8 @@ def test_every_reader_goes_through_lookup(monkeypatch, case, form):
     dense = results()
     assert dense["get"].count(None) > sim.n_a + sim.n_b  # pruned pairs and pairs outside
     assert max(count for _, _, count, _ in dense["scores"]) > 0
-    private = [name for name in ("_index", "_keys", "_order") if getattr(sim, name) is not None]
-    assert private == (["_index"] if form == "dense" else
-                       ["_keys"] + ["_order"] * (case[0] == "direct"))  # its entries are unsorted
+    private = [name for name in ("_index", "_keys") if getattr(sim, name) is not None]
+    assert private == (["_index"] if form == "dense" else ["_keys"])
     for name in private:
         monkeypatch.setattr(sim, name, Untouchable())
     monkeypatch.setattr(sim, "lookup", dict_lookup(sim))

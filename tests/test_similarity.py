@@ -1,6 +1,8 @@
 """Weighted Canberra similarity and the pruned candidate matrix."""
 
+import re
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,7 +15,7 @@ from cgalign import (CallGraph, MutationSpec, SimilarityConfig, SimilarityMatrix
 from cgalign.similarity import (BLOCK, KEYED_SPAN, _weighted_canberra, feature_weights,
                                 keep_highest, prune_lowest)
 
-from conftest import form_of, make_features, make_graph
+from conftest import FORMS, dict_lookup, form_of, in_form, make_features, make_graph
 
 finite_feature = st.floats(min_value=0.0, max_value=1e6, allow_nan=False)
 
@@ -213,6 +215,58 @@ def test_lookup_helpers():
     for i, j in ((1, 0), (2, 0), (0, 2), (-1, 1)):
         with pytest.raises(KeyError):
             pruned.get(i, j)
+
+
+def entries(n_a, n_b, rows, cols, n_scores=None):
+    """The fields of a SimilarityMatrix, unchecked: scores 0.5, one per row id by default."""
+    return SimpleNamespace(n_a=n_a, n_b=n_b, rows=np.array(rows, dtype=np.int64),
+                           cols=np.array(cols, dtype=np.int64),
+                           scores=np.full(len(rows) if n_scores is None else n_scores, 0.5))
+
+
+# entries that break the invariant, and the refusal naming the first bad one
+MALFORMED = [
+    ("out of order", entries(2, 3, [0, 1, 0], [1, 0, 2]),
+     "entry 2, (0, 2), sorts before entry 1, (1, 0)"),
+    ("repeated pair", entries(2, 3, [0, 1, 1, 1], [0, 1, 1, 2]),
+     "entry 2, (1, 1), repeats entry 1, (1, 1)"),
+    # its flat keys -1, 0, 4 ascend; the dense form would put it at (1, 2)
+    ("negative row", entries(2, 3, [-1, 0, 1], [2, 0, 1]),
+     "entry 0, (-1, 2), is outside the 2 x 3 matrix"),
+    ("negative col", entries(2, 3, [0, 1, 1], [1, -1, 0]),
+     "entry 1, (1, -1), is outside the 2 x 3 matrix"),
+    ("row id n_a", entries(2, 3, [0, 1, 2], [0, 0, 0]),
+     "entry 2, (2, 0), is outside the 2 x 3 matrix"),
+    ("col id n_b", entries(2, 3, [0, 0, 1], [1, 3, 0]),
+     "entry 1, (0, 3), is outside the 2 x 3 matrix"),
+    ("first of two faults", entries(2, 3, [0, 0, 1, 5], [2, 1, 0, 0]),
+     "entry 1, (0, 1), sorts before entry 0, (0, 2)"),
+    ("more scores", entries(2, 3, [0, 1], [0, 0], n_scores=3),
+     "rows, cols and scores must have one entry per pair, not 2, 2 and 3"),
+    ("fewer scores", entries(2, 3, [0, 1], [0, 0], n_scores=1),
+     "rows, cols and scores must have one entry per pair, not 2, 2 and 1"),
+    ("fewer cols", entries(2, 3, [0, 1], [0]),
+     "rows, cols and scores must have one entry per pair, not 2, 1 and 2"),
+]
+
+
+@pytest.mark.parametrize("form", FORMS)
+@pytest.mark.parametrize("label, bad, message", MALFORMED, ids=[case[0] for case in MALFORMED])
+def test_malformed_entries_are_refused_naming_the_first_bad_one(label, bad, message, form):
+    with pytest.raises(ValueError, match="^" + re.escape(message)):
+        in_form(bad, form)
+
+
+@given(st.integers(min_value=1, max_value=12), st.integers(min_value=1, max_value=12), st.data())
+def test_each_form_looks_up_ascending_entries_as_a_dict_does(n_a, n_b, data):
+    keys = sorted(data.draw(st.sets(st.integers(min_value=0, max_value=n_a * n_b - 1))))
+    rows, cols = np.divmod(np.array(keys, dtype=np.int64), n_b)
+    kept = entries(n_a, n_b, rows, cols)
+    want = dict_lookup(kept)(*np.indices((n_a, n_b)))
+    for form in FORMS:
+        sim = in_form(kept, form)
+        assert np.array_equal(sim.lookup(*np.indices((n_a, n_b))), want)
+        assert [sim.lookup(i, j) for i, j in zip(rows, cols)] == list(range(len(keys)))
 
 
 def test_empty_graph_gives_empty_matrix():
