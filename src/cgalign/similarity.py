@@ -9,12 +9,28 @@ identical functions, and a global sparsity ratio prunes the lowest-scoring
 pairs to keep downstream solvers sparse.  SimilarityMatrix.lookup is the one
 way from a pair (i, j) to its retained entry, for every module.
 
-All n_a x n_b scores are computed in row blocks of at most BLOCK elements
-through two scratch buffers reused for every block, so the kernel's scratch
-memory does not grow with n_a.  This relies on the features being finite
-and non-negative, which CallGraph validates and canberra_similarity checks:
-a zero Canberra denominator then comes with a zero numerator, so the
-kernel divides every term and maps each 0/0 to 0 afterwards, with no mask.
+All n_a x n_b scores are computed in row blocks of at most BLOCK terms.
+A Canberra term |x - y| / (x + y) depends on x and y alone, and features
+are counts, so each column of b holds few distinct values (a few hundred
+in all for a 1000-function synthetic graph).  The kernel computes each
+term once per row of a and distinct value of its column, in a table of
+BLOCK // D rows of a at a time (D distinct values, and at least one row
+block), then fills each row block's (rows, n_b, F) terms from the table
+with one np.take.  The table and one scratch buffer, which holds the
+table's sums and then each block's terms, are reused for every block, so
+the kernel's scratch memory does not grow with n_a.  The terms keep that
+shape for the product with the weights because the bits of the product
+depend on the shape of the call, not on how the terms were filled: every
+score is, bit for bit, the one computed from each pair's terms in place.
+Features that never
+repeat (continuous ones) make the table as large as the terms, and the
+take extra work: about 1.3 times the time of computing the terms in place
+(n = 1000).
+
+The kernel relies on the features being finite and non-negative, which
+CallGraph validates and canberra_similarity checks: a zero Canberra
+denominator then comes with a zero numerator, so the kernel divides every
+term and maps each 0/0 to 0 afterwards, with no mask.
 
 When few pairs are kept (keyed_form), memory follows them: the matrix
 looks entries up by sorted key, not through an n_a x n_b index, and its
@@ -32,7 +48,8 @@ import numpy as np
 from .graphs import CallGraph, check_non_negative, check_range, feature_group_sizes, validate_pair
 
 # elements per scratch buffer of the similarity kernel (512 KiB of float64):
-# each row block of the score matrix is computed in two such buffers
+# each row block of the score matrix is computed in two such buffers.  Also
+# the doubles per block of generate_graph's call-mask draw
 BLOCK = 65_536
 # a matrix that keeps at most one pair in KEYED_SPAN takes the sorted-key
 # form (keyed_form): `--sparsity 0.99` does, 0.98 does not
@@ -65,29 +82,78 @@ def feature_weights(n_classes: int, config: SimilarityConfig) -> np.ndarray:
     return np.concatenate(parts)
 
 
-def _weighted_canberra(fa: np.ndarray, fb: np.ndarray, weights: np.ndarray,
-                       num: np.ndarray, den: np.ndarray) -> np.ndarray:
-    """Distance between every row of fa and every row of fb; shape (len(fa), len(fb)).
+def _canberra_terms(den: np.ndarray, y: np.ndarray, num: np.ndarray) -> np.ndarray:
+    """The Canberra terms |x - y| / (x + y), 0/0 counted as 0, written to num.
 
-    Per-feature terms are |x - y| / (x + y) with 0/0 counted as 0, averaged
-    under the per-feature weights.  The terms are computed in place in the
-    caller's buffers `num` and `den`, both of shape (len(fa), len(fb), F):
-    den first holds a copy of each row of fa per row of fb, so the arithmetic
-    runs in loops over whole len(fb) * F blocks, not over F elements at a
-    time.  Inputs must be non-negative: the Canberra denominator
-    is then just the sum, and where it is zero the numerator is +0.0 too.
-    The division runs everywhere, and fmax turns the NaN of each 0/0 into
-    the +0.0 that skipping it would have left, so every term has the bits of
-    a division masked to den > 0.
+    den holds x on entry, and x + y on return; y broadcasts against it.
+    Inputs must be non-negative: the Canberra denominator is then just the
+    sum, and where it is zero the numerator is +0.0 too.  The division runs
+    everywhere, and fmax turns the NaN of each 0/0 into the +0.0 that
+    skipping it would have left, so every term has the bits of a division
+    masked to den > 0.
     """
-    np.copyto(den, fa[:, None, :])
-    np.subtract(den, fb, out=num)
+    np.subtract(den, y, out=num)
     np.abs(num, out=num)
-    den += fb
+    den += y
     with np.errstate(invalid="ignore"):
         np.divide(num, den, out=num)
     np.fmax(num, 0.0, out=num)
-    return num @ weights / weights.sum()
+    return num
+
+
+def _distinct_values(fb: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(values, feature, index): the distinct values of each column of fb.
+
+    values holds column 0's distinct values in ascending order, then column
+    1's, and so on; feature[d] is the column of values[d], and index[j, f]
+    is the d with values[d] == fb[j, f] and feature[d] == f.  -0.0 and +0.0
+    count as one value, whose Canberra term against any x has the same bits
+    either way.  A few whole-array calls, no loop over the columns.
+    """
+    columns = np.ascontiguousarray(fb.T)
+    order = np.argsort(columns, axis=1)
+    ranked = np.take_along_axis(columns, order, axis=1)
+    first = np.empty(ranked.shape, dtype=bool)  # where a new value starts in its column
+    first[:, 0] = True
+    np.not_equal(ranked[:, 1:], ranked[:, :-1], out=first[:, 1:])
+    ids = np.cumsum(first).reshape(first.shape)  # numbered column by column
+    ids -= 1
+    index = np.empty(fb.shape, dtype=np.intp)
+    np.put_along_axis(index.T, order, ids, axis=1)
+    return ranked[first], np.nonzero(first)[0], index
+
+
+def _canberra_rows(fa: np.ndarray, fb: np.ndarray, weights: np.ndarray,
+                   block: int) -> Iterator[np.ndarray]:
+    """Weighted Canberra distance of each row of fa to each row of fb, in row blocks.
+
+    Each yielded block is a new (rows, len(fb)) array of at most `block`
+    consecutive rows of fa, in order.  The terms of a chunk of
+    max(block, BLOCK // D) rows of fa against the D distinct values of fb's
+    columns (_distinct_values) are computed once, into a table; one take
+    through the (n_b, F) index then fills each row block's (rows, n_b, F)
+    terms from it.  The blocks of a chunk start at its first row, so its
+    last may be short: the product with the weights has the same bits for
+    any row block, but not for another shape of the terms.  One scratch
+    buffer holds the table's x + y, then each block's terms.
+    """
+    values, feature, index = _distinct_values(fb)
+    chunk = min(max(block, BLOCK // len(values)), len(fa))
+    block = min(block, chunk)
+    table = np.empty((chunk, len(values)))
+    scratch = np.empty(max(table.size, block * index.size))
+    den = scratch[:table.size].reshape(table.shape)
+    num = scratch[:block * index.size].reshape(block, *index.shape)
+    total = weights.sum()
+    for lo in range(0, len(fa), chunk):
+        rows = min(chunk, len(fa) - lo)
+        np.take(fa[lo:lo + rows], feature, axis=1, out=den[:rows], mode="clip")
+        _canberra_terms(den[:rows], values, table[:rows])
+        for start in range(0, rows, block):
+            stop = min(start + block, rows)
+            terms = num[:stop - start]
+            np.take(table[start:stop], index, axis=1, out=terms, mode="clip")
+            yield terms @ weights / total
 
 
 def canberra_similarity(fa, fb, config: Optional[SimilarityConfig] = None) -> float:
@@ -96,7 +162,8 @@ def canberra_similarity(fa, fb, config: Optional[SimilarityConfig] = None) -> fl
     A row of a graph with n_classes instruction classes holds n_classes + 8
     features, which must be finite and non-negative, as in a CallGraph.
     The result agrees with the (i, j) score of build_similarity_matrix, with
-    perturbation_scale 0, to within 1e-12 but not bit for bit: the matrix
+    perturbation_scale 0, to within 1e-12 but not bit for bit: the terms
+    come from the kernel's one formula (_canberra_terms), but the matrix
     kernel sums a whole row block's weighted terms at once and rounds
     differently.
     """
@@ -109,8 +176,9 @@ def canberra_similarity(fa, fb, config: Optional[SimilarityConfig] = None) -> fl
     if not np.all((pair >= 0) & (pair < np.inf)):
         raise ValueError("features must be finite and non-negative")
     weights = feature_weights(n_classes, config)
-    num, den = np.empty((2, 1, 1, pair.shape[1]))
-    return float(1.0 - _weighted_canberra(pair[:1], pair[1:], weights, num, den)[0, 0])
+    den = pair[:1, None].copy()
+    terms = _canberra_terms(den, pair[1:], np.empty_like(den))
+    return float(1.0 - (terms @ weights / weights.sum())[0, 0])
 
 
 def keyed_form(kept: int, total: int) -> bool:
@@ -156,6 +224,17 @@ class SimilarityMatrix:
     def __post_init__(self):
         if self._index is not None:
             return
+        check_range("n_a", self.n_a, integer=True)
+        check_range("n_b", self.n_b, integer=True)
+        for name, kind, what in (("rows", np.signedinteger, "signed integers"),
+                                 ("cols", np.signedinteger, "signed integers"),
+                                 ("scores", np.floating, "floats")):
+            value = getattr(self, name)
+            if not (isinstance(value, np.ndarray) and value.ndim == 1
+                    and np.issubdtype(value.dtype, kind)):
+                shape = ("a %d-d %s array" % (value.ndim, value.dtype)
+                         if isinstance(value, np.ndarray) else "a %s" % type(value).__name__)
+                raise ValueError("%s must be a 1-d numpy array of %s, not %s" % (name, what, shape))
         n = len(self.scores)
         if not len(self.rows) == len(self.cols) == n:
             raise ValueError("rows, cols and scores must have one entry per pair, not %d, %d "
@@ -219,26 +298,28 @@ class SimilarityMatrix:
 
 
 def _score_blocks(a: CallGraph, b: CallGraph, config: SimilarityConfig) -> Iterator[np.ndarray]:
-    """The clipped scores of a against b, max(1, BLOCK // (n_b * F)) whole rows at a time.
+    """The clipped scores of a against b, at most max(1, BLOCK // (n_b * F)) whole rows at a time.
 
-    Each block is a new (rows, n_b) array; the kernel's two scratch buffers
-    are allocated once and reused for every block.
+    Each block is a new (rows, n_b) array of consecutive rows.  Its terms
+    come from a table of each term per row of a and distinct value of b's
+    column (_canberra_rows), of at most max(BLOCK, D * rows per block)
+    entries for D distinct values, allocated once per call with one
+    scratch buffer of its scale.  They keep the (rows, n_b, F) shape for
+    the product with the weights, whose bits depend on that shape.
     """
     weights = feature_weights(len(a.instruction_classes), config)
-    fa, fb = a.features, b.features
     order_a, order_b = a.order, b.order
-    n_a, n_b = a.n, b.n
-    span = max(n_a, n_b)
-    block = max(1, BLOCK // (n_b * fa.shape[1]))
-    num, den = np.empty((2, min(block, n_a), n_b, fa.shape[1]))
-    for start in range(0, n_a, block):
-        stop = min(start + block, n_a)
-        sim = 1.0 - _weighted_canberra(fa[start:stop], fb, weights,
-                                       num[:stop - start], den[:stop - start])
+    span = max(a.n, b.n)
+    block = max(1, BLOCK // (b.n * b.features.shape[1]))
+    start = 0
+    for dist in _canberra_rows(a.features, b.features, weights, block):
+        stop = start + len(dist)
+        sim = 1.0 - dist
         if config.perturbation_scale > 0:
             bonus = 1.0 - np.abs(order_a[start:stop, None] - order_b[None, :]) / span
             sim = sim + config.perturbation_scale * bonus
         np.clip(sim, 0.0, 1.0, out=sim)
+        start = stop
         yield sim
 
 
@@ -246,10 +327,11 @@ def build_similarity_matrix(a: CallGraph, b: CallGraph,
                             config: Optional[SimilarityConfig] = None) -> SimilarityMatrix:
     """Score all function pairs of two comparable graphs, then prune globally.
 
-    Scores are computed in row blocks (_score_blocks) in two scratch buffers
-    allocated once per call, so the kernel's scratch memory does not grow
-    with n_a; the graphs' validated non-negative features make the unmasked
-    in-place division exact.  Pruning removes the
+    Scores are computed in row blocks (_score_blocks) from a table of each
+    column's distinct values, in two scratch buffers allocated once per
+    call, so the kernel's scratch memory does not grow with n_a; the
+    graphs' validated non-negative features make the unmasked division
+    exact.  Pruning removes the
     floor(sparsity_ratio * n_a * n_b) lowest-scoring pairs; score ties are
     broken by lexicographic (row, col) order so the result is deterministic.
     When the kept pairs take the sorted-key form (keyed_form), the blocks

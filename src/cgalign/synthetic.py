@@ -17,6 +17,7 @@ import numpy as np
 
 from .evaluation import GroundTruth
 from .graphs import NEIGHBORHOOD_KEYS, TOPOLOGY_KEYS, CallGraph, check_range
+from .similarity import BLOCK
 
 DEFAULT_CLASSES = ("arith", "logic", "mem", "branch", "call", "other")
 
@@ -85,15 +86,30 @@ def generate_graph(n: int, edge_density: float = 0.1, seed: int = 0,
 
     rows = [_jitter(rng, base[int(rng.integers(0, len(base)))], amount=2) for _ in range(n)]
 
-    edges = np.empty((0, 2), dtype=np.int64)
-    if n > 1 and edge_density > 0:
-        mask = rng.random((n, n)) < edge_density
-        np.fill_diagonal(mask, False)
-        edges = np.argwhere(mask)
+    edges = _draw_calls(rng, n, edge_density)
 
     order = [int(x) for x in rng.permutation(n)]
     names = ["fn%04d" % i for i in range(n)]
     return _assemble(name or "synthetic-%d" % seed, classes, rows, order, names, edges)
+
+
+def _draw_calls(rng: np.random.Generator, n: int, edge_density: float) -> np.ndarray:
+    """(caller, callee) rows, in order, of each call drawn with probability edge_density.
+
+    The call mask is drawn in row blocks of at most max(n, BLOCK) doubles.
+    The generator yields the same numbers, in the same order, as one (n, n)
+    draw, so the calls and the generator state after them are those of one
+    whole draw, without its n * n doubles.
+    """
+    if n < 2 or edge_density == 0:
+        return np.empty((0, 2), dtype=np.int64)
+    step = max(1, BLOCK // n)
+    parts = []
+    for start in range(0, n, step):
+        mask = rng.random((min(step, n - start), n)) < edge_density
+        mask[np.arange(len(mask)), np.arange(start, start + len(mask))] = False  # no self-calls
+        parts.append(np.argwhere(mask) + [start, 0])
+    return np.concatenate(parts)
 
 
 def _jitter(rng: np.random.Generator, row, amount: int) -> Tuple[float, ...]:

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from cgalign import graphs, nap, similarity
 from cgalign import (CallGraph, MutationSpec, SimilarityConfig, SimilarityMatrix,
                      build_similarity_matrix, canberra_similarity, generate_graph, mutate)
-from cgalign.similarity import (BLOCK, KEYED_SPAN, _weighted_canberra, feature_weights,
+from cgalign.similarity import (BLOCK, KEYED_SPAN, _canberra_rows, feature_weights,
                                 keep_highest, prune_lowest)
 
 from conftest import FORMS, dict_lookup, form_of, in_form, make_features, make_graph
@@ -217,11 +217,15 @@ def test_lookup_helpers():
             pruned.get(i, j)
 
 
-def entries(n_a, n_b, rows, cols, n_scores=None):
-    """The fields of a SimilarityMatrix, unchecked: scores 0.5, one per row id by default."""
-    return SimpleNamespace(n_a=n_a, n_b=n_b, rows=np.array(rows, dtype=np.int64),
-                           cols=np.array(cols, dtype=np.int64),
-                           scores=np.full(len(rows) if n_scores is None else n_scores, 0.5))
+def entries(n_a, n_b, row_ids, col_ids, n_scores=None, **given):
+    """The fields of a SimilarityMatrix, unchecked: scores 0.5, one per row id by default.
+
+    Fields in `given` replace the built ones as they are.
+    """
+    fields = dict(n_a=n_a, n_b=n_b, rows=np.array(row_ids, dtype=np.int64),
+                  cols=np.array(col_ids, dtype=np.int64),
+                  scores=np.full(len(row_ids) if n_scores is None else n_scores, 0.5))
+    return SimpleNamespace(**{**fields, **given})
 
 
 # entries that break the invariant, and the refusal naming the first bad one
@@ -247,6 +251,20 @@ MALFORMED = [
      "rows, cols and scores must have one entry per pair, not 2, 2 and 1"),
     ("fewer cols", entries(2, 3, [0, 1], [0]),
      "rows, cols and scores must have one entry per pair, not 2, 1 and 2"),
+    ("float rows", entries(2, 3, [0, 1], [0, 0], rows=np.array([0.0, 1.0])),
+     "rows must be a 1-d numpy array of signed integers, not a 1-d float64 array"),
+    ("list rows", entries(2, 3, [0, 1], [0, 0], rows=[0, 1]),
+     "rows must be a 1-d numpy array of signed integers, not a list"),
+    ("list cols", entries(2, 3, [0, 1], [0, 0], cols=[0, 0]),
+     "cols must be a 1-d numpy array of signed integers, not a list"),
+    ("unsigned cols", entries(2, 3, [0, 1], [0, 0], cols=np.array([0, 0], dtype=np.uint64)),
+     "cols must be a 1-d numpy array of signed integers, not a 1-d uint64 array"),
+    ("2-d rows", entries(2, 3, [0, 1], [0, 0], rows=np.array([[0, 1]])),
+     "rows must be a 1-d numpy array of signed integers, not a 2-d int64 array"),
+    ("list scores", entries(2, 3, [0, 1], [0, 0], scores=[0.5, 0.5]),
+     "scores must be a 1-d numpy array of floats, not a list"),
+    ("negative n_a", entries(-1, 3, [], []), "n_a must be an integer >= 0, not -1"),
+    ("float n_b", entries(2, 3.0, [0], [0]), "n_b must be an integer >= 0, not 3.0"),
 ]
 
 
@@ -470,6 +488,12 @@ def test_blocked_kernel_matches_reference_bit_for_bit(shape):
     width = n_classes + 8
     a = graph_of(rng, random_features(rng, n_a, width, zero_rows=[0]), n_classes, "A")
     b = graph_of(rng, random_features(rng, n_b, width, zero_rows=[n_b - 1]), n_classes, "B")
+    assert_builds_as_reference(a, b, rng)
+
+
+def assert_builds_as_reference(a, b, rng):
+    """build_similarity_matrix(a, b) under random configs equals the reference, bit for bit."""
+    n_a, n_b = a.n, b.n
     group_weights = rng.choice([0.0, 1.0, 7.0, 23.0], 3)
     group_weights[rng.integers(0, 3)] = 19.0  # never all zero
     for sparsity in (0.0, 0.5, 0.99):
@@ -497,10 +521,77 @@ def test_kernel_in_any_row_blocks_matches_reference(width):
     weights[0] = 3.5  # never all zero
     want = reference_kernel(fa, fb, weights)
     for block in (1, 2, 5, n_a):
-        num, den = np.empty((2, block, n_b, width))
-        got = np.empty((n_a, n_b))
-        for lo in range(0, n_a, block):
-            hi = min(lo + block, n_a)
-            got[lo:hi] = _weighted_canberra(fa[lo:hi], fb, weights,
-                                            num[:hi - lo], den[:hi - lo])
+        parts = list(_canberra_rows(fa, fb, weights, block))
+        assert max(len(part) for part in parts) <= block
+        got = np.concatenate(parts)
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def table_cases():
+    """(label, fa, fb, n_classes): inputs at the edges of the distinct-value tables."""
+    rng = np.random.default_rng(24)
+    signed = rng.choice([-0.0, 0.0, 1.0, 2.0, 3.5], (40, 11))  # both zeros in every column
+    yield "signed zeros", signed[:17], signed[17:], 3
+    yield "all distinct", rng.random((9, 14)) * 50, rng.random((23, 14)) * 50, 6
+    yield "n_b = 1", random_features(rng, 31, 12, zero_rows=[0]), random_features(rng, 1, 12), 4
+    yield ("zero classes", random_features(rng, 25, 8, zero_rows=[2]),
+           random_features(rng, 19, 8, zero_rows=[0]), 0)
+
+
+@pytest.mark.parametrize("block", [BLOCK, 97, 1])
+@pytest.mark.parametrize("case", list(table_cases()), ids=lambda case: case[0])
+def test_table_kernel_matches_reference_bit_for_bit(case, block, monkeypatch):
+    label, fa, fb, n_classes = case
+    values, feature, index = similarity._distinct_values(fb)
+    assert np.array_equal(values[index], fb)  # up to the sign of a zero
+    assert np.array_equal(feature[index], np.broadcast_to(np.arange(fb.shape[1]), fb.shape))
+    distinct = sum(len(set(column.tolist())) for column in fb.T)  # 0.0 == -0.0 in a set
+    assert len(values) == distinct
+    if label == "signed zeros":
+        assert np.signbit(fb[fb == 0]).any() and not np.signbit(fb[fb == 0]).all()
+        assert len(values) < sum(len(set(map(repr, column.tolist()))) for column in fb.T)
+    if label == "all distinct":
+        assert len(values) == fb.size
+    weights = feature_weights(n_classes, SimilarityConfig())
+    want = reference_kernel(fa, fb, weights)
+    monkeypatch.setattr(similarity, "BLOCK", block)
+    for rows in (1, 3, len(fa)):
+        got = np.concatenate(list(_canberra_rows(fa, fb, weights, rows)))
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    rng = np.random.default_rng(len(fa))
+    assert_builds_as_reference(graph_of(rng, fa, n_classes, "A"),
+                               graph_of(rng, fb, n_classes, "B"), rng)
+
+
+def test_table_chunk_ending_inside_a_row_block_matches_reference(monkeypatch):
+    rng = np.random.default_rng(5)
+    a = graph_of(rng, random_features(rng, 40, 10), 2, "A")
+    b = graph_of(rng, random_features(rng, 6, 10), 2, "B")
+    distinct = len(similarity._distinct_values(b.features)[0])
+    # three rows per block (BLOCK // 60), and table chunks of BLOCK // distinct
+    # rows, more than three and not a multiple of them
+    block = next(size for size in range(180, 240) if 3 < size // distinct < 40
+                 and size // distinct % 3)
+    monkeypatch.setattr(similarity, "BLOCK", block)
+    sizes = [len(sim) for sim in similarity._score_blocks(a, b, SimilarityConfig())]
+    assert max(sizes) == 3 and min(sizes[:-1]) < 3 and sum(sizes) == a.n
+    assert_builds_as_reference(a, b, rng)
+
+
+def test_pruned_build_of_distinct_floats_peaks_below_one_array_of_every_pair():
+    # the worst case of the tables: no two features of b share a value
+    n = 1000
+    rng = np.random.default_rng(11)
+    a = graph_of(rng, rng.random((n, 14)) * 100, 6, "A")
+    b = graph_of(rng, rng.random((n, 14)) * 100, 6, "B")
+    assert len(similarity._distinct_values(b.features)[0]) == b.features.size
+    config = SimilarityConfig(sparsity_ratio=0.99)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        sim = build_similarity_matrix(a, b, config)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert form_of(sim) == "keyed" and len(sim) == n * n // 100
+    assert peak < n * n * 8

@@ -2,10 +2,12 @@
 
 import dataclasses
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from cgalign import synthetic
 from cgalign import (BpConfig, MutationSpec, SimilarityConfig, build_problem,
                      build_similarity_matrix, generate_graph, mapping_to_keys,
                      mutate, save_call_graph, save_ground_truth, score, solve_nap)
@@ -50,6 +52,42 @@ def test_generator_rejects_bad_arguments():
     for templates in (0, -1):
         with pytest.raises(ValueError, match="templates"):
             generate_graph(5, templates=templates)
+
+
+def whole_draw(rng, n, edge_density):
+    """The calls as one (n, n) draw of the mask gives them."""
+    if n < 2 or edge_density == 0:
+        return np.empty((0, 2), dtype=np.int64)
+    mask = rng.random((n, n)) < edge_density
+    np.fill_diagonal(mask, False)
+    return np.argwhere(mask)
+
+
+# (n, BLOCK): one block, whole blocks, a partial last block, one row per block
+@pytest.mark.parametrize("n, block", [(1, 65_536), (2, 65_536), (256, 65_536), (257, 65_536),
+                                      (700, 65_536), (30, 90), (30, 10)])
+@pytest.mark.parametrize("density", [0.0, 0.004, 0.3, 1.0])
+def test_calls_drawn_in_row_blocks_equal_one_whole_draw(n, block, density, monkeypatch):
+    monkeypatch.setattr(synthetic, "BLOCK", block)
+    rng, reference = np.random.default_rng(n), np.random.default_rng(n)
+    edges = synthetic._draw_calls(rng, n, density)
+    want = whole_draw(reference, n, density)
+    assert edges.dtype == want.dtype and np.array_equal(edges, want)
+    assert rng.random() == reference.random()  # the same generator state
+
+
+def test_call_draw_never_holds_the_whole_mask():
+    n = 2000
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        edges = synthetic._draw_calls(np.random.default_rng(11), n, 3 / (n - 1))
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert len(edges) > n
+    # one block's doubles and mask, about 0.6 MB; the whole mask alone is n * n bytes
+    assert peak < n * n
 
 
 def test_mutation_spec_validation():
