@@ -91,7 +91,6 @@ def build_parser() -> argparse.ArgumentParser:
     diff.add_argument("--output", help="write the mapping report to this file")
     diff.add_argument("--json", action="store_true",
                       help="print the report as JSON on stdout")
-    diff.set_defaults(func=cmd_diff)
 
     evl = commands.add_parser("eval", help="score a mapping report against truth")
     evl.add_argument("report")
@@ -99,7 +98,6 @@ def build_parser() -> argparse.ArgumentParser:
     evl.add_argument("--program-a", help="graph file to resolve report keys against")
     evl.add_argument("--program-b", help="the same for program B; give both or neither")
     evl.add_argument("--json", action="store_true", help="print the scores as JSON on stdout")
-    evl.set_defaults(func=cmd_eval)
 
     ged = commands.add_parser("ged", help="recompute the edit cost of a report")
     ged.add_argument("graph_a")
@@ -107,7 +105,6 @@ def build_parser() -> argparse.ArgumentParser:
     ged.add_argument("report")
     _add_cost_flags(ged)
     ged.add_argument("--json", action="store_true", help="print the costs as JSON on stdout")
-    ged.set_defaults(func=cmd_ged)
 
     gen = commands.add_parser("generate", help="emit synthetic graphs with truth")
     gen.add_argument("--n", type=_ranged(int, 0), required=True, help="functions in the base graph")
@@ -122,7 +119,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="comma list like insert=2,delete=1,perturb=3,rewire=2")
     gen.add_argument("--out-b", help="path for the mutated graph (with --mutate)")
     gen.add_argument("--out-truth", help="path for the ground truth (with --mutate)")
-    gen.set_defaults(func=cmd_generate)
     return parser
 
 
@@ -194,6 +190,7 @@ def cmd_diff(args) -> int:
     problem, mapping, iterations, converged = _solve(args, sim, a, b)
 
     matched = sorted(mapping.pairs)
+    scores = sim.scores[nap.candidate_indices(sim, mapping)].tolist()  # of the sorted pairs
     matched_rows = {i for i, _ in matched}
     matched_cols = {j for _, j in matched}
     report = {
@@ -204,7 +201,7 @@ def cmd_diff(args) -> int:
             "sparsity": args.sparsity, "d_node": args.d_node, "d_edge": args.d_edge,
             "max_iters": args.max_iters, "damping": args.damping, "k": args.k,
         },
-        "matched": [[a.key_of(i), b.key_of(j), sim.get(i, j)] for i, j in matched],
+        "matched": [[a.key_of(i), b.key_of(j), s] for (i, j), s in zip(matched, scores)],
         "unmatched_a": [a.key_of(i) for i in range(a.n) if i not in matched_rows],
         "unmatched_b": [b.key_of(j) for j in range(b.n) if j not in matched_cols],
         "objective": nap.nap_objective(problem, mapping),
@@ -325,7 +322,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             and (args.out_b is not None or args.out_truth is not None)):
         parser.error("generate: --out-b and --out-truth need --mutate")
     try:
-        return args.func(args)
+        # by name, so a wrapper set on this module is called
+        return globals()["cmd_" + args.command](args)
     except DataError as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 2

@@ -318,14 +318,18 @@ def ged_cost_editpath(a: CallGraph, b: CallGraph, mapping: Mapping,
     """
     check_non_negative(d_node=d_node, d_edge=d_edge)
     fwd = mapping.as_dict()
+    pairs = mapping.sorted_pairs()
+    # checked on the ints, which may not fit an int64
+    inside = np.array([0 <= i < a.n and 0 <= j < b.n for i, j in pairs], dtype=bool)
+    ids = np.array([pair for pair, ok in zip(pairs, inside) if ok], dtype=np.int64).reshape(-1, 2)
+    pos = np.full(len(pairs), -1)
+    pos[inside] = sim.lookup(ids[:, 0], ids[:, 1])
+    bad = np.flatnonzero(pos < 0)
+    if len(bad):  # the first bad pair names the fault
+        why = "not a retained candidate" if inside[bad[0]] else "outside the problem"
+        raise MappingError("pair (%d, %d) is %s" % (*pairs[bad[0]], why))
     cost = 0.0
-    for i, j in mapping.sorted_pairs():
-        if not (0 <= i < a.n and 0 <= j < b.n):
-            raise MappingError("pair (%d, %d) is outside the problem" % (i, j))
-        try:
-            score = sim.get(i, j)
-        except KeyError:
-            raise MappingError("pair (%d, %d) is not a retained candidate" % (i, j))
+    for score in sim.scores[pos].tolist():  # added in sorted pair order
         cost += 1.0 - score
     cost += (a.n - len(mapping)) * d_node
     cost += (b.n - len(mapping)) * d_node

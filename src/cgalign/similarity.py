@@ -32,10 +32,12 @@ CallGraph validates and canberra_similarity checks: a zero Canberra
 denominator then comes with a zero numerator, so the kernel divides every
 term and maps each 0/0 to 0 afterwards, with no mask.
 
-When few pairs are kept (keyed_form), memory follows them: the matrix
-looks entries up by sorted key, not through an n_a x n_b index, and its
-build streams the score blocks through keep_highest, never holding every
-score.  Both routes give the same entries, bit for bit.
+A matrix that keeps every pair needs no lookup array: its entries are
+every pair in order, and its build's score buffer becomes its scores.  A
+pruned one keeps a bitmap of its pairs and a count per 64-pair word, two
+bits per pair in all, and its build streams the score blocks through
+keep_highest, never holding every score.  Both routes give the same
+entries, bit for bit.
 """
 
 from __future__ import annotations
@@ -51,9 +53,6 @@ from .graphs import CallGraph, check_non_negative, check_range, feature_group_si
 # each row block of the score matrix is computed in two such buffers.  Also
 # the doubles per block of generate_graph's call-mask draw
 BLOCK = 65_536
-# a matrix that keeps at most one pair in KEYED_SPAN takes the sorted-key
-# form (keyed_form): `--sparsity 0.99` does, 0.98 does not
-KEYED_SPAN = 64
 
 
 @dataclass(frozen=True)
@@ -181,17 +180,6 @@ def canberra_similarity(fa, fb, config: Optional[SimilarityConfig] = None) -> fl
     return float(1.0 - (terms @ weights / weights.sum())[0, 0])
 
 
-def keyed_form(kept: int, total: int) -> bool:
-    """Whether a matrix of `kept` entries among `total` pairs looks them up by sorted key.
-
-    A binary search is several times slower per pair than a read of the
-    dense index, but that index costs 8 bytes per pair, kept or not.  At
-    one kept pair in KEYED_SPAN or fewer, the keys cost a few percent of
-    the similarity and problem build time and save the n_a * n_b arrays.
-    """
-    return kept * KEYED_SPAN <= total
-
-
 @dataclass
 class SimilarityMatrix:
     """Sparse rectangular matrix of retained candidate pairs.
@@ -201,15 +189,14 @@ class SimilarityMatrix:
     candidates.  The constructor checks this: rows, cols and scores must
     have one entry per pair, every id must be in range and the flat keys
     row * n_b + col must strictly ascend, or it raises a ValueError naming
-    the first bad entry.  Only build_similarity_matrix's dense route, which
-    passes its own index, is trusted unchecked.  `lookup` is the one way
-    from a pair to its entry.  It reads one of two private forms, which the
-    matrix picks from its kept ratio (keyed_form) when no dense array is
-    given:
+    the first bad entry.  `lookup` is the one way from a pair to its entry.
+    The entries alone set its form:
 
-    * dense: an array of the n_a * n_b entry positions, -1 where a pair was
-      pruned;
-    * sorted keys: the entries' flat keys, found by binary search.
+    * full, when every pair is kept: pair (i, j) is entry i * n_b + j;
+    * rank, otherwise: one bit per pair, set where it was kept, in uint64
+      words, and the kept pairs up to the end of each word.  A kept pair's
+      entry is its word's count less the kept pairs from its own bit up;
+      the two arrays take n_a * n_b / 4 bytes.
     """
 
     n_a: int
@@ -217,13 +204,11 @@ class SimilarityMatrix:
     rows: np.ndarray    # int64, candidate row indices
     cols: np.ndarray    # int64, candidate col indices
     scores: np.ndarray  # float64 in [0, 1]
-    _index: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
-    # the sorted-key form: keys, then one sentinel above every key in range
-    _keys: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
+    # the rank form: the bitmap of kept flat keys, and the kept keys up to each word's end
+    _bits: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
+    _rank: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self._index is not None:
-            return
         check_range("n_a", self.n_a, integer=True)
         check_range("n_b", self.n_b, integer=True)
         for name, kind, what in (("rows", np.signedinteger, "signed integers"),
@@ -239,19 +224,19 @@ class SimilarityMatrix:
         if not len(self.rows) == len(self.cols) == n:
             raise ValueError("rows, cols and scores must have one entry per pair, not %d, %d "
                              "and %d" % (len(self.rows), len(self.cols), n))
-        keys = np.empty(n + 1, dtype=np.int64)
-        np.multiply(self.rows, self.n_b, out=keys[:n])
-        keys[:n] += self.cols
+        keys = np.multiply(self.rows, self.n_b, dtype=np.int64)
+        keys += self.cols
         ok = (self.rows >= 0) & (self.rows < self.n_a) & (self.cols >= 0) & (self.cols < self.n_b)
-        ok[1:] &= keys[1:n] > keys[:n - 1]
+        ok[1:] &= keys[1:] > keys[:-1]
         if not ok.all():
             raise ValueError(self._entry_error(int(np.argmin(ok)), keys))
-        if not keyed_form(n, self.n_a * self.n_b):
-            self._index = np.full(self.n_a * self.n_b, -1, dtype=np.int64)
-            self._index[keys[:n]] = np.arange(n)
+        total = self.n_a * self.n_b
+        if n == total:
             return
-        keys[n] = np.iinfo(np.int64).max
-        self._keys = keys
+        self._bits = np.zeros(-(-total // 64), dtype=np.uint64)
+        bit = np.left_shift(np.uint64(1), (keys & 63).view(np.uint64))
+        np.bitwise_or.at(self._bits, keys >> 6, bit)
+        self._rank = np.cumsum(np.bitwise_count(self._bits), dtype=np.int64)
 
     def _entry_error(self, t: int, keys: np.ndarray) -> str:
         """Why entry t, the first that breaks the entry invariant, is refused."""
@@ -273,17 +258,27 @@ class SimilarityMatrix:
         """Entry position of each pair (i, j), or -1 where the pair was pruned.
 
         i and j are ids in range, or integer numpy arrays of them that
-        broadcast against each other.  Ranges are not checked: in either
-        form, the result for an id outside its range is unspecified (it may
-        be another pair's entry, -1 or an IndexError).
+        broadcast against each other; positions are int64.  Ranges are not
+        checked: in either form, the result for an id outside its range is
+        unspecified (it may be another pair's entry, -1 or an IndexError).
         """
-        key = i * self.n_b + j
-        if self._keys is None:
-            return self._index[key]
-        at = self._keys.searchsorted(key)
-        # -1 where the key is absent; arithmetic, not np.where, whose call
-        # costs ten times a read of the dense index for one pair
-        return (at + 1) * (self._keys[at] == key) - 1
+        key = np.add(np.multiply(i, self.n_b, dtype=np.int64), j, dtype=np.int64)
+        if self._bits is None:
+            return key
+        # in place where it can be: each whole-array pass costs as much as a read
+        word = key >> 6
+        key &= 63  # the pair's bit in its word
+        upto = self._bits[word]
+        upto >>= key.view(np.uint64)  # the word's bits from the pair's up: bit 0 is the pair's
+        pos = self._rank[word]
+        pos -= np.bitwise_count(upto)
+        # 0 where the pair is kept and -1 where not: arithmetic, not
+        # np.where, whose call costs several times the rest for one pair
+        upto &= 1
+        missing = upto.view(np.int64)
+        missing -= 1
+        pos |= missing
+        return pos
 
     def get(self, i: int, j: int) -> float:
         pos = self.lookup(i, j) if 0 <= i < self.n_a and 0 <= j < self.n_b else -1
@@ -334,40 +329,27 @@ def build_similarity_matrix(a: CallGraph, b: CallGraph,
     exact.  Pruning removes the
     floor(sparsity_ratio * n_a * n_b) lowest-scoring pairs; score ties are
     broken by lexicographic (row, col) order so the result is deterministic.
-    When the kept pairs take the sorted-key form (keyed_form), the blocks
-    stream through keep_highest and no n_a x n_b array is allocated; else
-    they fill one n_a x n_b buffer, which becomes the dense index.
+    When some pair is dropped, the blocks stream through keep_highest and
+    no n_a x n_b array is allocated; else they fill one n_a x n_b buffer,
+    which becomes the scores.
     """
     config = config or SimilarityConfig()
     validate_pair(a, b)
     n_a, n_b = a.n, b.n
     total = n_a * n_b
-    if total == 0:
-        empty = np.empty(0)
-        return SimilarityMatrix(n_a, n_b, empty.astype(np.int64),
-                                empty.astype(np.int64), empty.astype(np.float64))
-
     drop = int(np.floor(config.sparsity_ratio * total))
-    blocks = _score_blocks(a, b, config)
-    if keyed_form(total - drop, total):
-        keep, kept = keep_highest((sim.ravel() for sim in blocks), total - drop)
-        rows, cols = np.divmod(keep, n_b)
-        return SimilarityMatrix(n_a=n_a, n_b=n_b, rows=rows, cols=cols, scores=kept)
-
-    flat = np.empty(total, dtype=np.float64)
-    start = 0
-    for sim in blocks:
-        flat[start:start + sim.size] = sim.ravel()
-        start += sim.size
-    keep = prune_lowest(flat, drop)
-    kept = flat[keep]
-    # the kept scores are copied out, so the score buffer becomes the lookup's
-    # array and no second n_a x n_b array is allocated while it is alive
-    index = flat.view(np.int64)
-    index.fill(-1)
-    index[keep] = np.arange(len(keep))
-    rows, cols = np.divmod(keep, n_b)
-    return SimilarityMatrix(n_a=n_a, n_b=n_b, rows=rows, cols=cols, scores=kept, _index=index)
+    if drop:
+        blocks = (sim.ravel() for sim in _score_blocks(a, b, config))
+        keep, scores = keep_highest(blocks, total - drop)
+    else:
+        keep, scores = np.arange(total, dtype=np.int64), np.empty(total)
+        start = 0
+        for sim in _score_blocks(a, b, config) if total else ():  # an empty graph has none
+            scores[start:start + sim.size] = sim.ravel()
+            start += sim.size
+    cols = np.empty_like(keep)
+    np.divmod(keep, n_b, out=(keep, cols))  # the flat keys become the rows
+    return SimilarityMatrix(n_a=n_a, n_b=n_b, rows=keep, cols=cols, scores=scores)
 
 
 def prune_lowest(scores: np.ndarray, drop: int) -> np.ndarray:
@@ -394,9 +376,9 @@ def keep_highest(blocks: Iterable[np.ndarray], keep: int) -> Tuple[np.ndarray, n
     """(ascending indices, scores) of the `keep` highest of consecutive 1-D score blocks.
 
     The same as prune_lowest over the blocks joined, dropping all but
-    `keep`, with its ties: the tail of a sort by (score, index).  The
-    joined blocks are never whole.  A pool of the entries that may still be
-    kept grows in index order; once it passes 2 * keep + BLOCK entries,
+    `keep`, with its ties: the tail of a sort by (score, index).  A pool
+    of the entries that may still be kept grows in index order, and holds
+    every block until the first cut; once it passes 2 * keep + BLOCK entries,
     prune_lowest itself cuts it back to `keep`, whose lowest score is then
     a floor: a later entry below it is outranked by all `keep` pooled ones,
     and one tied with it outranks the tied ones, so later blocks add only
@@ -406,10 +388,14 @@ def keep_highest(blocks: Iterable[np.ndarray], keep: int) -> Tuple[np.ndarray, n
     pooled = offset = 0
     floor = -np.inf
     for scores in blocks:
-        at = np.flatnonzero(scores >= floor)
-        index_parts.append(at + offset)
-        score_parts.append(scores[at])
-        pooled += len(at)
+        if floor == -np.inf:  # no cut yet: the whole block, with no search or copy
+            index_parts.append(np.arange(offset, offset + len(scores)))
+            score_parts.append(scores)
+        else:
+            at = np.flatnonzero(scores >= floor)
+            index_parts.append(at + offset)
+            score_parts.append(scores[at])
+        pooled += len(index_parts[-1])
         offset += len(scores)
         if pooled > 2 * keep + BLOCK:
             index, kept = _cut(index_parts, score_parts, keep)
@@ -422,5 +408,6 @@ def _cut(index_parts: List[np.ndarray], score_parts: List[np.ndarray],
          keep: int) -> Tuple[np.ndarray, np.ndarray]:
     """The pool's `keep` highest by (score, index), as keep_highest returns them."""
     index, scores = np.concatenate(index_parts), np.concatenate(score_parts)
+    del index_parts[:], score_parts[:]  # joined, so freed before the cut
     at = prune_lowest(scores, len(scores) - keep)
     return index[at], scores[at]

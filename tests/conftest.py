@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from cgalign import CallGraph, SimilarityMatrix, similarity
+from cgalign import CallGraph, SimilarityMatrix
 
 settings.register_profile(
     "suite",
@@ -59,25 +59,9 @@ def dense_sim(matrix):
                             scores=arr.ravel().copy())
 
 
-FORMS = ("dense", "keyed")  # the two lookup forms of a SimilarityMatrix
-
-
 def form_of(sim):
-    """The lookup form a SimilarityMatrix took: "dense" or "keyed" (sorted keys)."""
-    return "dense" if sim._keys is None else "keyed"
-
-
-def in_form(sim, form):
-    """A new matrix of sim's entries, in their order, that takes the given lookup form.
-
-    sim is a SimilarityMatrix, or any object with its n_a, n_b, rows, cols
-    and scores.
-    """
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(similarity, "keyed_form", lambda kept, total: form == "keyed")
-        copy = SimilarityMatrix(sim.n_a, sim.n_b, sim.rows, sim.cols, sim.scores)
-    assert form_of(copy) == form
-    return copy
+    """The lookup form a SimilarityMatrix took: "full" (every pair kept) or "rank" (a bitmap)."""
+    return "full" if sim._bits is None else "rank"
 
 
 def dict_lookup(sim):

@@ -408,6 +408,25 @@ def test_one_parser_serves_every_call_of_a_process(tmp_path, capsys):
     assert warm == fresh
 
 
+def test_main_calls_the_command_set_on_the_module_after_the_parser_is_cached(
+        tmp_path, capsys, monkeypatch):
+    # a wrapper set on cli, as a tracer sets one, is called by every later main
+    graph = synthetic.generate_graph(6, edge_density=0.2, seed=1)
+    path_a, path_b = write_graph_pair(tmp_path, graph, graph)
+    assert run(capsys, ["diff", path_a, path_b])[0] == 0
+    seen = []
+    real = cli.cmd_diff
+
+    def wrapped(args):
+        seen.append(args.command)
+        return real(args)
+
+    monkeypatch.setattr(cli, "cmd_diff", wrapped)
+    rc, out, _ = run(capsys, ["diff", path_a, path_b])
+    assert rc == 0 and out.startswith("matched 6 of 6 x 6 functions")
+    assert seen == ["diff"]
+
+
 def test_ged_rejects_non_report_file(tmp_path, capsys):
     graph = synthetic.generate_graph(3, seed=9)
     path_a, path_b = write_graph_pair(tmp_path, graph, graph)

@@ -14,7 +14,7 @@ from cgalign import (Candidates, Mapping, MappingError, MutationSpec, NapProblem
                      max_weight_matching, mutate, nap_objective, solve_mcs_greedy)
 from cgalign import SimilarityConfig, SimilarityMatrix, build_similarity_matrix, nap
 
-from conftest import FORMS, dense_sim, dict_lookup, in_form, make_graph
+from conftest import dense_sim, dict_lookup, form_of, make_graph
 
 
 def square_instance():
@@ -234,6 +234,15 @@ def test_ged_editpath_rejects_unscored_pair():
                    if (i, j) not in present)
     with pytest.raises(MappingError):
         ged_cost_editpath(a, b, Mapping.from_pairs([missing]), sim)
+    # the first bad pair in sorted order names the fault
+    other = (missing[1] + 1) % 3
+    cases = [([missing, (3, other)], "pair (%d, %d) is not a retained candidate" % missing),
+             ([(-1, other), missing], "pair (-1, %d) is outside the problem" % other),
+             ([(10 ** 30, other)], "pair (%d, %d) is outside the problem" % (10 ** 30, other))]
+    for pairs, message in cases:
+        with pytest.raises(MappingError) as caught:
+            ged_cost_editpath(a, b, Mapping.from_pairs(pairs), sim)
+        assert str(caught.value) == message
 
 
 BAD_COSTS = [
@@ -433,11 +442,15 @@ def index_cases():
         3, edges=[(0, 1), (1, 2)], name="B")
 
 
-@pytest.mark.parametrize("form", FORMS)
+def test_index_cases_take_each_lookup_form():
+    forms = {label: form_of(sim) for label, sim, _, _ in index_cases()}
+    assert forms == {"sparsity 0.0": "full", "sparsity 0.5": "rank", "sparsity 0.9": "rank",
+                     "sparsity 1.0": "rank", "direct": "rank"}
+
+
 @pytest.mark.parametrize("case", list(index_cases()), ids=lambda case: case[0])
-def test_each_lookup_form_is_the_one_candidate_lookup(case, form):
+def test_each_lookup_form_is_the_one_candidate_lookup(case):
     _, sim, a, b = case
-    sim = in_form(sim, form)
     n = len(sim)
     want = np.full((sim.n_a, sim.n_b), -1)
     want[sim.rows, sim.cols] = np.arange(n)
@@ -599,19 +612,18 @@ class Untouchable:
 
 
 def reader_cases():
-    """(label, a, b, sim, mappings): a built matrix, and the hand-built one."""
-    yield next(("sparsity 0.5", a, b, sim, m) for sparsity, a, b, sim, m
-               in full_and_mapped_cases() if sparsity == 0.5)
+    """(label, a, b, sim, mappings): built matrices of each form, and the hand-built one."""
+    for sparsity, a, b, sim, m in full_and_mapped_cases():
+        if sparsity in (0.0, 0.5):
+            yield "sparsity %s" % sparsity, a, b, sim, m
     _, sim, a, b = next(case for case in index_cases() if case[0] == "direct")
     yield "direct", a, b, sim, [Mapping.empty(), Mapping.from_pairs([(0, 1), (1, 2)]),
                                 Mapping.from_pairs([(0, 0), (1, 1)])]
 
 
-@pytest.mark.parametrize("form", FORMS)
 @pytest.mark.parametrize("case", list(reader_cases()), ids=lambda case: case[0])
-def test_every_reader_goes_through_lookup(monkeypatch, case, form):
+def test_every_reader_goes_through_lookup(monkeypatch, case):
     _, a, b, sim, mappings = case
-    sim = in_form(sim, form)
     d_node, d_edge = 0.4, 0.35
 
     def results():
@@ -632,18 +644,21 @@ def test_every_reader_goes_through_lookup(monkeypatch, case, form):
             "mcs": mcs,
             "get": scores,
             "scores": [(nap_objective(problem, m), nap.edit_cost(problem, m),
-                        count_squares(problem, m), ged_cost_direct(a, b, m, sim, d_node, d_edge))
+                        count_squares(problem, m), ged_cost_direct(a, b, m, sim, d_node, d_edge),
+                        ged_cost_editpath(a, b, m, sim, d_node, d_edge))
                        for m in scored],
         }
 
-    dense = results()
-    assert dense["get"].count(None) > sim.n_a + sim.n_b  # pruned pairs and pairs outside
-    assert max(count for _, _, count, _ in dense["scores"]) > 0
-    private = [name for name in ("_index", "_keys") if getattr(sim, name) is not None]
-    assert private == (["_index"] if form == "dense" else ["_keys"])
+    want = results()
+    assert want["get"].count(None) > sim.n_a + sim.n_b  # pruned pairs and pairs outside
+    assert max(count for _, _, count, _, _ in want["scores"]) > 0
+    # the full form reads no array: its entry is the pair's flat key
+    private = [name for name in ("_bits", "_rank") if getattr(sim, name) is not None]
+    assert private == ([] if form_of(sim) == "full" else ["_bits", "_rank"])
     for name in private:
         monkeypatch.setattr(sim, name, Untouchable())
     monkeypatch.setattr(sim, "lookup", dict_lookup(sim))
-    assert results() == dense
-    with pytest.raises(AssertionError, match="outside SimilarityMatrix.lookup"):
-        SimilarityMatrix.lookup(sim, 0, 0)
+    assert results() == want
+    if private:
+        with pytest.raises(AssertionError, match="outside SimilarityMatrix.lookup"):
+            SimilarityMatrix.lookup(sim, 0, 0)

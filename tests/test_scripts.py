@@ -48,6 +48,21 @@ def test_diff_memory_reports_one_diff(tmp_path, capsys):
     assert values["similarity"] >= int(n * n * 8 / 2 ** 20 * 10) / 10
 
 
+def test_large_recipe_reports_one_pruned_diff(capsys):
+    assert load_script("large_recipe").main(["--n", "60", "--sparsity", "0.9", "--cap", "3"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines] == [
+        "metric", "kept", "links", "generate_s", "similarity_s", "build_s", "bp_s", "bp_mode_s",
+        "bp_score_s", "rss_after_similarity", "peak_rss", "iterations", "best_step", "recall"]
+    values = dict((line.split()[0], float(line.split()[1])) for line in lines[1:])
+    assert values["kept"] == 60 * 60 - int(0.9 * 60 * 60)
+    assert all(value >= 0 for value in values.values())
+    assert values["bp_mode_s"] + values["bp_score_s"] <= values["bp_s"]
+    assert 0 < values["rss_after_similarity"] <= values["peak_rss"]
+    assert values["iterations"] <= 3 and values["best_step"] <= values["iterations"]
+    assert 0 < values["recall"] <= 1
+
+
 def test_report_digests_cover_every_output_of_a_workload(capsys):
     assert load_script("report_digests").main(["--seed", "11", "--workload", "churn"]) == 0
     lines = [line.split(" ") for line in capsys.readouterr().out.splitlines()]

@@ -6,16 +6,15 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cgalign import graphs, nap, similarity
 from cgalign import (CallGraph, MutationSpec, SimilarityConfig, SimilarityMatrix,
                      build_similarity_matrix, canberra_similarity, generate_graph, mutate)
-from cgalign.similarity import (BLOCK, KEYED_SPAN, _canberra_rows, feature_weights,
-                                keep_highest, prune_lowest)
+from cgalign.similarity import BLOCK, _canberra_rows, feature_weights, keep_highest, prune_lowest
 
-from conftest import FORMS, dict_lookup, form_of, in_form, make_features, make_graph
+from conftest import dict_lookup, form_of, make_features, make_graph
 
 finite_feature = st.floats(min_value=0.0, max_value=1e6, allow_nan=False)
 
@@ -234,7 +233,7 @@ MALFORMED = [
      "entry 2, (0, 2), sorts before entry 1, (1, 0)"),
     ("repeated pair", entries(2, 3, [0, 1, 1, 1], [0, 1, 1, 2]),
      "entry 2, (1, 1), repeats entry 1, (1, 1)"),
-    # its flat keys -1, 0, 4 ascend; the dense form would put it at (1, 2)
+    # its flat keys -1, 0, 4 ascend; a key of -1 would read the last pair, (1, 2)
     ("negative row", entries(2, 3, [-1, 0, 1], [2, 0, 1]),
      "entry 0, (-1, 2), is outside the 2 x 3 matrix"),
     ("negative col", entries(2, 3, [0, 1, 1], [1, -1, 0]),
@@ -265,26 +264,109 @@ MALFORMED = [
      "scores must be a 1-d numpy array of floats, not a list"),
     ("negative n_a", entries(-1, 3, [], []), "n_a must be an integer >= 0, not -1"),
     ("float n_b", entries(2, 3.0, [0], [0]), "n_b must be an integer >= 0, not 3.0"),
+    # one entry per pair of the matrix, as many as the full form holds: every
+    # matrix is checked, whatever its form
+    ("all, out of order", entries(2, 3, [0, 0, 0, 1, 1, 1], [0, 2, 1, 0, 1, 2]),
+     "entry 2, (0, 1), sorts before entry 1, (0, 2)"),
+    ("all, repeated pair", entries(2, 3, [0, 0, 0, 1, 1, 1], [0, 1, 1, 0, 1, 2]),
+     "entry 2, (0, 1), repeats entry 1, (0, 1)"),
+    ("all, negative row", entries(2, 3, [-1, 0, 0, 0, 1, 1], [2, 0, 1, 2, 0, 1]),
+     "entry 0, (-1, 2), is outside the 2 x 3 matrix"),
+    ("all, negative col", entries(2, 3, [0, 0, 0, 1, 1, 1], [0, 1, 2, -1, 1, 2]),
+     "entry 3, (1, -1), is outside the 2 x 3 matrix"),
+    ("all, row id n_a", entries(2, 3, [0, 0, 0, 1, 1, 2], [0, 1, 2, 0, 1, 0]),
+     "entry 5, (2, 0), is outside the 2 x 3 matrix"),
+    ("all, col id n_b", entries(2, 3, [0, 0, 0, 1, 1, 1], [0, 1, 2, 0, 1, 3]),
+     "entry 5, (1, 3), is outside the 2 x 3 matrix"),
+    ("all, fewer scores", entries(2, 3, [0, 0, 0, 1, 1, 1], [0, 1, 2, 0, 1, 2], n_scores=5),
+     "rows, cols and scores must have one entry per pair, not 6, 6 and 5"),
 ]
 
 
-@pytest.mark.parametrize("form", FORMS)
 @pytest.mark.parametrize("label, bad, message", MALFORMED, ids=[case[0] for case in MALFORMED])
-def test_malformed_entries_are_refused_naming_the_first_bad_one(label, bad, message, form):
+def test_malformed_entries_are_refused_naming_the_first_bad_one(label, bad, message):
     with pytest.raises(ValueError, match="^" + re.escape(message)):
-        in_form(bad, form)
+        SimilarityMatrix(**vars(bad))
 
 
-@given(st.integers(min_value=1, max_value=12), st.integers(min_value=1, max_value=12), st.data())
-def test_each_form_looks_up_ascending_entries_as_a_dict_does(n_a, n_b, data):
-    keys = sorted(data.draw(st.sets(st.integers(min_value=0, max_value=n_a * n_b - 1))))
+@st.composite
+def kept_keys(draw):
+    """(n_a, n_b, ascending flat keys of the kept pairs)."""
+    n_a, n_b = (draw(st.integers(min_value=1, max_value=12)) for _ in range(2))
+    return n_a, n_b, sorted(draw(st.sets(st.integers(min_value=0, max_value=n_a * n_b - 1))))
+
+
+# keys at the edges of the bitmap's 64-pair words, and whole matrices
+@example((12, 12, [63, 64, 127]))
+@example((5, 13, [64]))  # the last pair of a 65-pair matrix, alone in its word
+@example((5, 13, list(range(64))))  # all but that last pair
+@example((8, 16, [0, 127]))  # the last pair of a 128-pair matrix
+@example((8, 16, list(range(128))))
+@example((5, 13, list(range(65))))
+@given(kept_keys())
+def test_each_form_looks_up_ascending_entries_as_a_dict_does(case):
+    n_a, n_b, keys = case
     rows, cols = np.divmod(np.array(keys, dtype=np.int64), n_b)
     kept = entries(n_a, n_b, rows, cols)
     want = dict_lookup(kept)(*np.indices((n_a, n_b)))
-    for form in FORMS:
-        sim = in_form(kept, form)
-        assert np.array_equal(sim.lookup(*np.indices((n_a, n_b))), want)
-        assert [sim.lookup(i, j) for i, j in zip(rows, cols)] == list(range(len(keys)))
+    sim = SimilarityMatrix(**vars(kept))
+    assert form_of(sim) == ("full" if len(keys) == n_a * n_b else "rank")
+    assert np.array_equal(sim.lookup(*np.indices((n_a, n_b))), want)
+    assert [sim.lookup(i, j) for i, j in zip(rows, cols)] == list(range(len(keys)))
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32, np.int64])
+@pytest.mark.parametrize("step", [1, 3], ids=["every pair", "every third pair"])
+def test_lookup_takes_ids_of_any_integer_type_and_gives_int64(dtype, step):
+    n_a, n_b = 5, 13  # 65 pairs: a second word holds the last one
+    keys = np.arange(0, n_a * n_b, step)
+    sim = SimilarityMatrix(**vars(entries(n_a, n_b, keys // n_b, keys % n_b)))
+    assert form_of(sim) == ("full" if step == 1 else "rank")
+    i, j = np.indices((n_a, n_b), dtype=dtype)
+    got = sim.lookup(i, j)
+    assert got.dtype == np.int64 and np.array_equal(got, dict_lookup(sim)(i, j))
+    for r, c in ((0, 0), (4, 12), (2, 7)):
+        for one in (sim.lookup(dtype(r), dtype(c)), sim.lookup(r, c)):
+            assert one.dtype == np.int64 and one == got[r, c]
+
+
+@pytest.mark.parametrize("shape", [(1, 63), (1, 64), (1, 65), (2, 64), (3, 43)])
+def test_built_matrices_look_up_pairs_across_word_edges(shape):
+    a, b = make_graph(shape[0], name="A"), make_graph(shape[1], name="B")
+    i, j = np.indices(shape)
+    for ratio in (0.0, 0.3, 0.9, 1.0):
+        sim = build_similarity_matrix(a, b, SimilarityConfig(sparsity_ratio=ratio))
+        assert form_of(sim) == ("full" if ratio == 0 else "rank")
+        assert np.array_equal(sim.lookup(i, j), dict_lookup(sim)(i, j))
+
+
+def test_unpruned_build_gives_the_entries_the_streamed_selection_keeps():
+    a = generate_graph(30, edge_density=0.2, seed=10, name="A")
+    b = generate_graph(27, edge_density=0.2, seed=11, name="B")
+    config = SimilarityConfig()
+    sim = build_similarity_matrix(a, b, config)
+    blocks = (block.ravel() for block in similarity._score_blocks(a, b, config))
+    keep, scores = keep_highest(blocks, a.n * b.n)
+    assert np.array_equal(keep, np.arange(a.n * b.n))
+    assert np.array_equal(np.divmod(keep, b.n), (sim.rows, sim.cols))
+    assert scores.tobytes() == sim.scores.tobytes()
+
+
+def test_unpruned_build_holds_its_entries_and_no_lookup_array():
+    n = 300
+    a = generate_graph(n, edge_density=3 / (n - 1), seed=1, name="A")
+    b = generate_graph(n, edge_density=3 / (n - 1), seed=2, name="B")
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        sim = build_similarity_matrix(a, b, SimilarityConfig())
+        held, peak = (size - before for size in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    assert form_of(sim) == "full"
+    # rows, cols and scores, the score buffer itself; at the peak also the
+    # entry check's keys and masks
+    assert held < 3.1 * n * n * 8 and peak < 4.75 * n * n * 8
 
 
 def test_empty_graph_gives_empty_matrix():
@@ -347,10 +429,10 @@ def test_pruned_matrix_holds_no_array_of_every_pair(ratio):
     assert np.array_equal(cut.rows, full.rows[keep])
     assert np.array_equal(cut.cols, full.cols[keep])
     assert np.array_equal(cut.scores, full.scores[keep])
-    keyed = len(keep) * KEYED_SPAN <= len(full)
-    assert form_of(cut) == ("keyed" if keyed else "dense")
+    assert form_of(cut) == ("full" if ratio == 0 else "rank")
     largest = max(value.size for value in vars(cut).values() if isinstance(value, np.ndarray))
-    assert largest == (len(keep) + 1 if keyed else len(full))  # the keys end in a sentinel
+    # the entries, and a pruned matrix's two arrays of one word per 64 pairs
+    assert largest == (len(keep) if ratio == 0 else max(len(keep), -(-len(full) // 64)))
 
 
 @settings(max_examples=200)
@@ -394,18 +476,17 @@ def test_streamed_selection_cuts_its_pool_to_about_twice_the_kept():
 
 
 @pytest.mark.parametrize("shape", [(1, 1), (7, 9), (64, 1), (40, 80), (300, 301)])
-def test_lookup_form_follows_the_kept_ratio(shape):
+def test_lookup_form_is_full_iff_every_pair_is_kept(shape):
     n_a, n_b = shape
     total = n_a * n_b
     rng = np.random.default_rng(total)
-    edge = total // KEYED_SPAN  # the most entries the sorted-key form holds
-    for kept in sorted({0, 1, max(edge - 1, 0), edge, edge + 1, total // 2, total}):
-        if kept > total:
-            continue
+    for kept in sorted({0, 1, total // 64, total // 2, total - 1, total}):
         keys = np.sort(rng.choice(total, kept, replace=False)).astype(np.int64)
         rows, cols = np.divmod(keys, n_b)
         sim = SimilarityMatrix(n_a, n_b, rows, cols, rng.random(kept))
-        assert form_of(sim) == ("keyed" if kept <= edge else "dense")
+        assert form_of(sim) == ("full" if kept == total else "rank")
+        i, j = np.indices(shape)
+        assert np.array_equal(sim.lookup(i, j), dict_lookup(sim)(i, j))
 
 
 def test_pruned_build_peaks_below_one_array_of_every_pair():
@@ -420,7 +501,7 @@ def test_pruned_build_peaks_below_one_array_of_every_pair():
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    assert form_of(sim) == "keyed" and len(sim) == n * n // 100
+    assert form_of(sim) == "rank" and len(sim) == n * n // 100
     # the kernel's scratch, the pool and one cut of it, about 4.5 MB: the dense
     # path's score buffer alone is n * n float64
     assert peak < n * n * 8
@@ -593,5 +674,5 @@ def test_pruned_build_of_distinct_floats_peaks_below_one_array_of_every_pair():
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    assert form_of(sim) == "keyed" and len(sim) == n * n // 100
+    assert form_of(sim) == "rank" and len(sim) == n * n // 100
     assert peak < n * n * 8
